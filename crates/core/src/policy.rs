@@ -165,18 +165,12 @@ pub enum EstimatorKind {
 pub enum WaitPolicyKind {
     /// Cedar: online learning + optimal wait (the paper's contribution).
     Cedar,
-    /// Cedar with an explicit estimator choice (ablation studies).
-    CedarWith(EstimatorKind),
-    /// Cedar with an explicit re-optimization cadence: wait for
-    /// `min_samples` arrivals, then re-scan every `every`-th arrival
-    /// (ablation studies; `Cedar` is `min_samples = 3, every = 1`).
-    CedarCadence {
-        /// Arrivals before the first re-optimization.
-        min_samples: usize,
-        /// Re-optimize every this many arrivals thereafter.
-        every: usize,
-    },
-    /// Fully custom Cedar: estimator and cadence both explicit.
+    /// Cedar with its knobs explicit (ablation studies): which online
+    /// estimator feeds the scan, and the re-optimization cadence — wait
+    /// for `min_samples` arrivals, then re-scan every `every`-th arrival.
+    /// `Cedar` is the order-statistics estimator with `min_samples = 3,
+    /// every = 1`; the Fig. 10 "empirical estimates" variant is
+    /// [`WaitPolicyKind::cedar_with`]`(EstimatorKind::Empirical)`.
     CedarCustom {
         /// Which online estimator feeds the scan.
         estimator: EstimatorKind,
@@ -185,8 +179,6 @@ pub enum WaitPolicyKind {
         /// Re-optimize every this many arrivals thereafter.
         every: usize,
     },
-    /// Cedar's scan fed by the biased empirical estimator (Fig. 10).
-    CedarEmpirical,
     /// Cedar's scan computed once from the offline prior, never revised
     /// online (Fig. 11's "without online learning").
     CedarOffline,
@@ -204,6 +196,15 @@ pub enum WaitPolicyKind {
 }
 
 impl WaitPolicyKind {
+    /// Cedar with an explicit estimator at the default cadence.
+    pub const fn cedar_with(estimator: EstimatorKind) -> Self {
+        WaitPolicyKind::CedarCustom {
+            estimator,
+            min_samples: 3,
+            every: 1,
+        }
+    }
+
     /// Builds a fresh policy instance. `model` selects the distribution
     /// family Cedar's online estimator assumes.
     pub fn instantiate(&self, fanout: usize, model: Model) -> Box<dyn WaitPolicy> {
@@ -211,11 +212,6 @@ impl WaitPolicyKind {
             WaitPolicyKind::Cedar => {
                 Box::new(CedarPolicy::new(fanout, model, EstimatorKind::OrderStats))
             }
-            WaitPolicyKind::CedarWith(est) => Box::new(CedarPolicy::new(fanout, model, est)),
-            WaitPolicyKind::CedarCadence { min_samples, every } => Box::new(
-                CedarPolicy::new(fanout, model, EstimatorKind::OrderStats)
-                    .with_cadence(min_samples, every),
-            ),
             WaitPolicyKind::CedarCustom {
                 estimator,
                 min_samples,
@@ -223,9 +219,6 @@ impl WaitPolicyKind {
             } => Box::new(
                 CedarPolicy::new(fanout, model, estimator).with_cadence(min_samples, every),
             ),
-            WaitPolicyKind::CedarEmpirical => {
-                Box::new(CedarPolicy::new(fanout, model, EstimatorKind::Empirical))
-            }
             WaitPolicyKind::CedarOffline => Box::new(CedarOfflinePolicy),
             WaitPolicyKind::Ideal => Box::new(IdealPolicy),
             WaitPolicyKind::ProportionalSplit => Box::new(ProportionalSplitPolicy),
@@ -239,13 +232,7 @@ impl WaitPolicyKind {
     pub fn name(&self) -> &'static str {
         match self {
             WaitPolicyKind::Cedar => "Cedar",
-            WaitPolicyKind::CedarWith(EstimatorKind::OrderStats) => "Cedar (regression)",
-            WaitPolicyKind::CedarWith(EstimatorKind::PairwiseOrderStats) => "Cedar (pairwise)",
-            WaitPolicyKind::CedarWith(EstimatorKind::Empirical) => "Cedar (empirical)",
-            WaitPolicyKind::CedarWith(EstimatorKind::CensoredMle) => "Cedar (censored MLE)",
-            WaitPolicyKind::CedarCadence { .. } => "Cedar (cadence)",
             WaitPolicyKind::CedarCustom { .. } => "Cedar (custom)",
-            WaitPolicyKind::CedarEmpirical => "Cedar (empirical estimates)",
             WaitPolicyKind::CedarOffline => "Cedar (no online learning)",
             WaitPolicyKind::Ideal => "Ideal",
             WaitPolicyKind::ProportionalSplit => "Proportional-split",
@@ -650,7 +637,7 @@ mod tests {
     fn kind_instantiation_and_names() {
         for kind in [
             WaitPolicyKind::Cedar,
-            WaitPolicyKind::CedarEmpirical,
+            WaitPolicyKind::cedar_with(EstimatorKind::Empirical),
             WaitPolicyKind::CedarOffline,
             WaitPolicyKind::Ideal,
             WaitPolicyKind::ProportionalSplit,

@@ -6,7 +6,7 @@
 //! down to a single re-optimization, on the FacebookMR workload.
 
 use crate::harness::{fpct, fq, par_map, Opts, Table};
-use cedar_core::policy::WaitPolicyKind;
+use cedar_core::policy::{EstimatorKind, WaitPolicyKind};
 use cedar_sim::{mean_quality, run_workload, SimConfig};
 use cedar_workloads::production::facebook_mr;
 
@@ -48,7 +48,11 @@ pub fn measure(opts: &Opts) -> (f64, Vec<Row>) {
         trials,
     ));
     let rows = par_map(CADENCES.to_vec(), |&(min_samples, every, label)| {
-        let kind = WaitPolicyKind::CedarCadence { min_samples, every };
+        let kind = WaitPolicyKind::CedarCustom {
+            estimator: EstimatorKind::OrderStats,
+            min_samples,
+            every,
+        };
         Row {
             label,
             quality: mean_quality(&run_workload(&w, &cfg, kind, trials)),

@@ -42,19 +42,19 @@ pub fn measure(opts: &Opts) -> (f64, Vec<Row>) {
     let variants: Vec<(&'static str, WaitPolicyKind)> = vec![
         (
             "order-stats regression",
-            WaitPolicyKind::CedarWith(EstimatorKind::OrderStats),
+            WaitPolicyKind::cedar_with(EstimatorKind::OrderStats),
         ),
         (
             "pairwise (paper text)",
-            WaitPolicyKind::CedarWith(EstimatorKind::PairwiseOrderStats),
+            WaitPolicyKind::cedar_with(EstimatorKind::PairwiseOrderStats),
         ),
         (
             "empirical (biased)",
-            WaitPolicyKind::CedarWith(EstimatorKind::Empirical),
+            WaitPolicyKind::cedar_with(EstimatorKind::Empirical),
         ),
         (
             "censored MLE (exact)",
-            WaitPolicyKind::CedarWith(EstimatorKind::CensoredMle),
+            WaitPolicyKind::cedar_with(EstimatorKind::CensoredMle),
         ),
     ];
     let rows = par_map(variants, |&(name, kind)| Row {

@@ -7,7 +7,7 @@
 
 use crate::experiments::rtharness::{default_scale, mean_quality, run_workload_runtime};
 use crate::harness::{fpct, fq, Opts, Table};
-use cedar_core::policy::WaitPolicyKind;
+use cedar_core::policy::{EstimatorKind, WaitPolicyKind};
 use cedar_estimate::Model;
 use cedar_workloads::production::facebook_mr;
 
@@ -49,7 +49,7 @@ pub fn measure(opts: &Opts) -> Vec<Row> {
         .map(|&d| Row {
             deadline: d,
             baseline: run(d, WaitPolicyKind::ProportionalSplit),
-            cedar_empirical: run(d, WaitPolicyKind::CedarEmpirical),
+            cedar_empirical: run(d, WaitPolicyKind::cedar_with(EstimatorKind::Empirical)),
             cedar: run(d, WaitPolicyKind::Cedar),
         })
         .collect()

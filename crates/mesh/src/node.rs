@@ -15,9 +15,10 @@
 //!    the engine's root runs over its channel.
 //! 2. Each **aggregator** re-anchors the deadline at `exec` receipt
 //!    (wire latency manifests as genuine straggling), fans out to its
-//!    workers, and runs the engine's own policy state machine via
-//!    [`cedar_runtime::aggregate_remote`]; a watchdog fires speculative
-//!    `retry` frames, missing leaves are right-censored at departure,
+//!    workers, and runs [`cedar_runtime::collect`] over arrivals decoded
+//!    off the network — the Pseudocode-1 loop every in-process engine
+//!    aggregator runs; a watchdog fires speculative `retry` frames,
+//!    missing leaves are right-censored at departure,
 //!    and one aggregated `partial` ships upstream after the
 //!    aggregator's own sampled stage-1 duration.
 //! 3. Each **worker** samples its leaves' durations from seeds that are
@@ -61,13 +62,15 @@ use crate::topology::{NodeDef, Role, Topology};
 use crate::wire::{self, agg_seed, leaf_seed, ExecTrace, MeshMsg, StageTiming};
 use cedar_core::fs::write_atomic;
 use cedar_core::profile::ProfileConfig;
-use cedar_core::{LockExt, Millis, PolicyContext, PreparedContexts, WaitPolicyKind};
+use cedar_core::{
+    AggregatorState, LockExt, Millis, PolicyContext, PreparedContexts, WaitPolicyKind,
+};
 use cedar_distrib::ContinuousDist;
 use cedar_estimate::Model;
 use cedar_mathx::fxhash::FxHashMap;
 use cedar_runtime::{
-    aggregate_remote, Arrival, CheckpointConfig, FailureReport, FaultKind, FaultPlan,
-    RemoteAggConfig, RemoteTrace,
+    collect, Arrival, CheckpointConfig, CollectConfig, FailureReport, FaultKind, FaultPlan,
+    TraceSite,
 };
 use cedar_server::proto::{self, QueryResult, Request, Response, ServerStats};
 use cedar_server::{Client, WireFormat};
@@ -1326,20 +1329,24 @@ impl NodeInner {
         let retry_spans = worker_spans.clone();
         let self_name = self.me.name.clone();
         let cb_trace = qtrace.clone();
-        let outcome = aggregate_remote(
-            RemoteAggConfig {
-                ctx,
-                kind: WaitPolicyKind::Cedar,
-                model: Model::LogNormal,
+        let state = AggregatorState::new(
+            WaitPolicyKind::Cedar.instantiate(ctx.fanout, Model::LogNormal),
+            ctx,
+        );
+        let outcome = collect(
+            state,
+            CollectConfig {
                 scale,
-                expected: base..base + k1,
                 start,
+                expected: base..base + k1,
                 watchdog,
-                trace: qtrace.as_ref().map(|qt| RemoteTrace {
+                censor: true,
+                trace: qtrace.as_ref().map(|qt| TraceSite {
                     trace: Arc::clone(qt),
                     level: 1,
                     index: agg_index,
                 }),
+                metrics: Some(Arc::clone(&self.metrics.runtime)),
             },
             rx,
             move |missing| {

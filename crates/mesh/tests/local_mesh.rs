@@ -12,7 +12,7 @@ use cedar_mesh::{NodeHandle, NodeOptions};
 use cedar_runtime::{FailureReport, FaultPlan, FaultSpec, RecoveryPolicy};
 use cedar_server::proto::Request;
 use cedar_server::Client;
-use cedar_telemetry::{FlightDump, TraceSegment};
+use cedar_telemetry::{FlightDump, TraceEventKind, TraceSegment};
 use cedar_workloads::treedef::{StageDef, TreeDef};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -788,6 +788,52 @@ fn explain_queries_stitch_a_cross_process_trace() {
         .query(&tree(AGGS), Some(DEADLINE), Some(42))
         .expect("query");
     assert!(plain.result.expect("result").trace.is_none());
+
+    shutdown_all(handles);
+}
+
+/// Mesh aggregators run the same Pseudocode-1 loop as the in-process
+/// engine, so an explain query's stitched trace carries each stage-1
+/// aggregator's estimate/re-arm decisions, and every aggregator's own
+/// scrape times its per-arrival wait scans.
+#[test]
+fn mesh_aggregators_trace_decisions_and_time_wait_scans() {
+    let _mesh = serial();
+    let topo = topo(false);
+    let handles = start_mesh(&topo, None);
+    let mut client = root_client(&topo);
+    let resp = client
+        .query_explain(&tree(AGGS), Some(DEADLINE), Some(42))
+        .expect("query");
+    assert!(resp.ok, "query failed: {:?}", resp.error);
+    let trace = resp.result.expect("result").trace.expect("explain trace");
+    let mesh = trace.mesh.expect("stitched mesh trace");
+
+    let aggs: Vec<&TraceSegment> = mesh.root.children.iter().filter(|s| s.level == 1).collect();
+    assert_eq!(aggs.len(), AGGS, "one segment per stage-1 aggregator");
+    for seg in aggs {
+        let report = seg.report.as_ref().expect("aggregator decision trace");
+        let count = |want: fn(&TraceEventKind) -> bool| {
+            report.events.iter().filter(|e| want(&e.kind)).count()
+        };
+        let estimates = count(|k| matches!(k, TraceEventKind::Estimate { .. }));
+        let rearms = count(|k| matches!(k, TraceEventKind::Rearm { .. }));
+        assert!(estimates > 0, "{} recorded no Estimate", seg.node);
+        assert_eq!(
+            estimates, rearms,
+            "{}: each Estimate pairs a Rearm",
+            seg.node
+        );
+    }
+
+    for agg in ["agg0", "agg1"] {
+        let mut direct = Client::connect(&topo.node(agg).expect("def").addr).expect("connect");
+        let own = direct.metrics().expect("metrics").metrics.expect("text");
+        assert!(
+            metric(&own, "cedar_wait_scan_seconds_count") > 0.0,
+            "{agg} timed no wait scans"
+        );
+    }
 
     shutdown_all(handles);
 }

@@ -1,13 +1,14 @@
 //! Query execution on the tokio runtime: workers, aggregators and root
 //! wired by channels, timers driven by the wall clock.
 
+use crate::collect::{collect, CollectConfig, TraceSite};
 use crate::faults::{ChaosLog, FailureReport, FaultKind, FaultPlan};
 use crate::metrics::RuntimeMetrics;
 use crate::scale::TimeScale;
-use cedar_core::policy::{DecisionDetail, WaitPolicyKind};
+use cedar_core::policy::WaitPolicyKind;
 use cedar_core::profile::ProfileConfig;
 use cedar_core::setup::PreparedContexts;
-use cedar_core::{AggregatorAction, AggregatorState, TreeSpec};
+use cedar_core::{AggregatorState, TreeSpec};
 use cedar_distrib::ContinuousDist;
 use cedar_estimate::Model;
 use cedar_telemetry::{QueryTrace, ShipReason, TraceEventKind};
@@ -19,68 +20,36 @@ use std::time::Duration;
 use tokio::sync::mpsc;
 use tokio::time::Instant;
 
-/// The engine's channel-send boundary type, shared with the mesh's
-/// remote child adapter so a partial result decoded off a socket flows
-/// through the identical aggregation path as a local one.
-use crate::remote::Arrival as PartialResult;
+/// The engine's channel-send boundary type, shared with the mesh so a
+/// partial result decoded off a socket flows through the identical
+/// aggregation path as a local one.
+use crate::collect::Arrival as PartialResult;
 
 /// Chaos state shared by every task of one query.
 struct ChaosShared {
     plan: Arc<FaultPlan>,
-    log: Arc<ChaosLog>,
+    log: ChaosLog,
     /// When hung tasks finally release their channel ends: past the
     /// deadline, so a hang can never be mistaken for a slow completion.
     hang_until: Instant,
+    /// True stage-0 distribution that speculative re-executions draw from.
+    dist: Arc<dyn ContinuousDist>,
+    /// Per-worker partial values, for re-executions.
+    values: Arc<Vec<f64>>,
 }
 
 /// Per-aggregator chaos wiring.
 struct AggChaos {
-    log: Arc<ChaosLog>,
+    shared: Arc<ChaosShared>,
     /// This aggregator's level (1 = bottom aggregators).
     level: usize,
     /// The fault striking this aggregator's own send boundary, if any.
     fault: Option<FaultKind>,
-    hang_until: Instant,
-    /// Global origin ids of the children expected to arrive.
-    expected: std::ops::Range<usize>,
-    /// Watchdog + speculative-retry machinery (bottom aggregators only).
-    watchdog: Option<Watchdog>,
-}
-
-/// Armed by bottom-level aggregators when a fault plan is installed: if
-/// the learned-quantile timeout passes with children still missing, each
-/// missing worker is re-executed exactly once.
-struct Watchdog {
-    at: Instant,
-    plan: Arc<FaultPlan>,
-    /// True stage-0 distribution the re-executed work draws from.
-    dist: Arc<dyn ContinuousDist>,
-    values: Arc<Vec<f64>>,
-    /// Clone of this aggregator's own sender, handed to retry tasks.
-    /// Held until the watchdog resolves so the channel cannot close
-    /// while a retry might still be launched.
-    self_tx: mpsc::Sender<PartialResult>,
-}
-
-/// Per-aggregator observability wiring: a shared decision trace and/or
-/// shared metrics, plus this aggregator's tree coordinates. Both handles
-/// are optional and independent; a default (all-`None`) carrier keeps
-/// the uninstrumented path to one branch per site.
-#[derive(Clone, Default)]
-struct AggObs {
-    trace: Option<Arc<QueryTrace>>,
-    metrics: Option<Arc<RuntimeMetrics>>,
-    level: usize,
-    index: usize,
-}
-
-impl AggObs {
-    /// Records `kind` into the trace, if one is attached.
-    fn record(&self, at: f64, kind: TraceEventKind) {
-        if let Some(t) = &self.trace {
-            t.record(at, self.level, self.index, kind);
-        }
-    }
+    /// A sender into this aggregator's own channel for speculative
+    /// retries (bottom aggregators with a watchdog armed only). The
+    /// watchdog hook holds it until it fires, so the channel cannot
+    /// close while a retry might still be launched.
+    retry_tx: Option<mpsc::Sender<PartialResult>>,
 }
 
 /// Configuration of one runtime query.
@@ -302,15 +271,22 @@ pub async fn run_query_prepared(
     let start = Instant::now();
     let deadline_instant = start + cfg.scale.to_wall(cfg.deadline);
 
-    // Root-level observability (the root collector sits above the top
+    // Root-level trace site (the root collector sits above the top
     // aggregator stage, so it reports as level `n`).
-    let root_obs = AggObs {
-        trace: cfg.trace.clone(),
-        metrics: cfg.metrics.clone(),
-        level: n,
-        index: 0,
+    let site = |level: usize, index: usize| {
+        cfg.trace.clone().map(|trace| TraceSite {
+            trace,
+            level,
+            index,
+        })
     };
-    root_obs.record(
+    let root_site = site(n, 0);
+    let root_record = |at: f64, kind: TraceEventKind| {
+        if let Some(s) = &root_site {
+            s.record(at, kind);
+        }
+    };
+    root_record(
         0.0,
         TraceEventKind::QueryStart {
             deadline: cfg.deadline,
@@ -324,24 +300,24 @@ pub async fn run_query_prepared(
     let chaos = cfg.faults.as_ref().map(|plan| {
         Arc::new(ChaosShared {
             plan: plan.clone(),
-            log: Arc::new(ChaosLog::new(n)),
+            log: ChaosLog::new(n),
             hang_until: deadline_instant + cfg.scale.to_wall(1.0),
+            dist: cfg.tree.stage(0).dist.clone(),
+            values: values.clone(),
         })
     });
     // The watchdog fires at a quantile of the *learned* leaf
     // distribution: beyond it, a missing worker is presumed dead rather
     // than slow. Clamped to the deadline — retrying later is pointless.
-    let watchdog_at = cfg.faults.as_ref().and_then(|plan| {
+    let watchdog = cfg.faults.as_ref().and_then(|plan| {
         let rec = plan.recovery();
-        if !rec.speculative_retry {
-            return None;
-        }
-        let q = cfg
-            .priors
-            .stage(0)
-            .dist
-            .quantile(rec.watchdog_quantile.clamp(0.5, 0.9999));
-        Some(start + cfg.scale.to_wall(q.clamp(0.0, cfg.deadline)))
+        rec.speculative_retry.then(|| {
+            cfg.priors
+                .stage(0)
+                .dist
+                .quantile(rec.watchdog_quantile.clamp(0.5, 0.9999))
+                .clamp(0.0, cfg.deadline)
+        })
     });
     // Global task-origin numbering: workers 0..W, then each aggregator
     // level in order. Scheduling-independent, so dedup and the chaos log
@@ -371,6 +347,13 @@ pub async fn run_query_prepared(
         } else {
             cfg.tree.stage(level).fanout
         };
+        let child_base = if level == 1 {
+            0
+        } else {
+            origin_base[level - 1]
+        };
+        // Only bottom aggregators watch for dead workers.
+        let watchdog = watchdog.filter(|_| level == 1);
         let mut txs = Vec::with_capacity(count);
         for agg in 0..count {
             let (tx, rx) = mpsc::channel::<PartialResult>(fan_in.max(1));
@@ -383,43 +366,34 @@ pub async fn run_query_prepared(
                 kind.instantiate(contexts[level - 1].fanout, cfg.model),
                 contexts[level - 1].clone(),
             );
-            let own = own_durations[level - 1][agg];
-            let scale = cfg.scale;
-            let agg_origin = origin_base[level] + agg;
-            let agg_chaos = chaos.as_ref().map(|c| {
-                let child_base = if level == 1 {
-                    0
-                } else {
-                    origin_base[level - 1]
-                };
-                AggChaos {
-                    log: c.log.clone(),
-                    level,
-                    fault: c.plan.fault_for(level, agg),
-                    hang_until: c.hang_until,
-                    expected: (child_base + agg * fan_in)..(child_base + (agg + 1) * fan_in),
-                    watchdog: if level == 1 {
-                        watchdog_at.map(|at| Watchdog {
-                            at,
-                            plan: c.plan.clone(),
-                            dist: cfg.tree.stage(0).dist.clone(),
-                            values: values.clone(),
-                            self_tx: tx.clone(),
-                        })
-                    } else {
-                        None
-                    },
-                }
-            });
-            let agg_obs = AggObs {
-                trace: cfg.trace.clone(),
+            let collect_cfg = CollectConfig {
+                scale: cfg.scale,
+                start,
+                expected: (child_base + agg * fan_in)..(child_base + (agg + 1) * fan_in),
+                watchdog,
+                // Only the bottom stage feeds the censored refit path: a
+                // missing aggregator is absorbed by the stage above.
+                censor: chaos.is_some() && level == 1,
+                trace: site(level, agg),
                 metrics: cfg.metrics.clone(),
-                level,
-                index: agg,
             };
+            let agg_chaos = chaos.as_ref().map(|c| AggChaos {
+                shared: Arc::clone(c),
+                level,
+                fault: c.plan.fault_for(level, agg),
+                retry_tx: watchdog.map(|_| tx.clone()),
+            });
+            let own = own_durations[level - 1][agg];
+            let agg_origin = origin_base[level] + agg;
             // cedar-lint: allow(L10): one task per aggregator of a tree already validated against MAX_STAGES at decode; the loop bound is the tree shape, not raw client input
             tokio::spawn(aggregator_task(
-                state, rx, parent_tx, start, scale, own, agg_origin, agg_chaos, agg_obs,
+                state,
+                collect_cfg,
+                rx,
+                parent_tx,
+                own,
+                agg_origin,
+                agg_chaos,
             ));
             txs.push(tx);
         }
@@ -532,8 +506,8 @@ pub async fn run_query_prepared(
                     let now_model = cfg.scale.to_model(start.elapsed());
                     if let Some(c) = &chaos {
                         if !root_seen.insert(m.origin) {
-                            c.log.duplicate_suppressed();
-                            root_obs.record(
+                            c.log.duplicates_suppressed(1);
+                            root_record(
                                 now_model,
                                 TraceEventKind::DuplicateSuppressed { origin: m.origin },
                             );
@@ -543,7 +517,7 @@ pub async fn run_query_prepared(
                     included += m.payload;
                     arrivals += 1;
                     value_sum += m.value;
-                    root_obs.record(
+                    root_record(
                         now_model,
                         TraceEventKind::RootArrival {
                             origin: m.origin,
@@ -577,7 +551,7 @@ pub async fn run_query_prepared(
         failures,
         censored_durations,
     };
-    root_obs.record(
+    root_record(
         cfg.scale.to_model(outcome.wall_elapsed),
         TraceEventKind::QueryEnd {
             quality: outcome.quality,
@@ -591,255 +565,106 @@ pub async fn run_query_prepared(
     outcome
 }
 
-/// Pseudocode 1 as an async task: collect arrivals, let the policy revise
-/// the timer, depart on timer expiry or full collection, then aggregate
-/// (sleep the own duration) and ship upstream.
+/// One aggregator: Pseudocode 1 via [`collect`], then aggregate (sleep
+/// the own duration) and ship upstream.
 ///
-/// With chaos wiring attached it additionally suppresses duplicate
-/// arrivals by origin, runs the bottom-level watchdog (one speculative
-/// retry per child still missing at the learned-quantile timeout), logs
-/// observed durations, right-censors children missing at departure, and
-/// subjects its own upstream send to the fault plan.
-#[allow(clippy::too_many_arguments)]
+/// With chaos wiring attached, the watchdog hook re-executes each child
+/// still missing at the learned-quantile timeout exactly once, the
+/// collection outcome feeds the query's chaos log (suppressed
+/// duplicates everywhere; delivered retries and observed and censored
+/// durations at the bottom stage), and the aggregator's own upstream
+/// send is subject to the fault plan.
 async fn aggregator_task(
-    mut state: AggregatorState,
-    mut rx: mpsc::Receiver<PartialResult>,
+    state: AggregatorState,
+    cfg: CollectConfig,
+    rx: mpsc::Receiver<PartialResult>,
     parent_tx: mpsc::Sender<PartialResult>,
-    start: Instant,
-    scale: TimeScale,
     own_duration: f64,
     origin: usize,
     mut chaos: Option<AggChaos>,
-    obs: AggObs,
 ) {
-    if obs.trace.is_some() {
-        state.set_explain(true);
-    }
-    let w0 = state.start();
-    obs.record(0.0, TraceEventKind::InitialWait { wait: w0 });
-    let mut timer = start + scale.to_wall(w0);
-    let mut payload = 0usize;
-    let mut value = 0.0f64;
-    let mut seen: HashSet<usize> = HashSet::new();
-    let mut prev_detail: Option<DecisionDetail> = None;
-    let mut reason = ShipReason::AllArrived;
-    let mut watchdog = chaos.as_mut().and_then(|c| c.watchdog.take());
-    loop {
-        // The vendored select! has exactly two arms, so the watchdog
-        // shares the timer arm: sleep until whichever is earlier and
-        // dispatch on which one is due.
-        let wake = match &watchdog {
-            Some(w) if w.at < timer => w.at,
-            _ => timer,
+    let (scale, start, watchdog) = (cfg.scale, cfg.start, cfg.watchdog);
+    let site = cfg.trace.clone();
+    let retry = chaos
+        .as_mut()
+        .and_then(|c| Some((Arc::clone(&c.shared), c.retry_tx.take()?)));
+    let hook_site = site.clone();
+    let out = collect(state, cfg, rx, move |missing: &[usize]| {
+        let (Some((c, retry_tx)), Some(at)) = (retry, watchdog) else {
+            return;
         };
-        tokio::select! {
-            biased;
-            () = tokio::time::sleep_until(wake) => {
-                if wake < timer {
-                    // Watchdog, not the policy timer: re-execute each
-                    // child still missing, exactly once, then disarm.
-                    // Dropping `w` releases self_tx so the channel can
-                    // close once workers and retries are done. A due
-                    // watchdog implies both are present (`wake < timer`
-                    // only ever holds with a watchdog armed, and a
-                    // watchdog only arms with chaos wiring).
-                    if let (Some(w), Some(c)) = (watchdog.take(), chaos.as_ref()) {
-                        let wd_model = scale.to_model(start.elapsed());
-                        obs.record(
-                            wd_model,
-                            TraceEventKind::WatchdogFired {
-                                expected: c.expected.len(),
-                                received: seen.len(),
-                            },
-                        );
-                        for id in c.expected.clone() {
-                            if !seen.contains(&id) {
-                                c.log.retry_launched();
-                                obs.record(wd_model, TraceEventKind::RetryLaunched { origin: id });
-                                let mut rng = StdRng::seed_from_u64(w.plan.retry_seed(id));
-                                let dur = w.dist.sample(&mut rng);
-                                let fire_at = w.at + scale.to_wall(dur);
-                                let retry_tx = w.self_tx.clone();
-                                let retry_value = w.values[id];
-                                // cedar-lint: allow(L10): at most one retry per missing child; c.expected is the fan-in range fixed by the validated tree
-                                tokio::spawn(async move {
-                                    tokio::time::sleep_until(fire_at).await;
-                                    let _ = retry_tx
-                                        .send(PartialResult {
-                                            payload: 1,
-                                            value: retry_value,
-                                            origin: id,
-                                            duration: dur,
-                                            retry: true,
-                                        })
-                                        .await;
-                                });
-                            }
-                        }
-                    }
-                    continue;
-                }
-                // The armed instant always mirrors the state machine's
-                // current wait, so this firing is never stale.
-                let _ = state.on_timer(state.timer());
-                obs.record(scale.to_model(start.elapsed()), TraceEventKind::TimerFired);
-                reason = ShipReason::TimerExpired;
-                break;
+        let at = start + scale.to_wall(at);
+        let now_model = scale.to_model(start.elapsed());
+        for &id in missing {
+            c.log.retry_launched();
+            if let Some(s) = &hook_site {
+                s.record(now_model, TraceEventKind::RetryLaunched { origin: id });
             }
-            msg = rx.recv() => match msg {
-                Some(m) => {
-                    let now_model = scale.to_model(start.elapsed());
-                    if let Some(c) = &chaos {
-                        if !seen.insert(m.origin) {
-                            // Injected duplicate, or a retry racing its
-                            // own original — count it once either way.
-                            c.log.duplicate_suppressed();
-                            obs.record(
-                                now_model,
-                                TraceEventKind::DuplicateSuppressed { origin: m.origin },
-                            );
-                            continue;
-                        }
-                        if c.level == 1 {
-                            c.log.delivered(0, m.origin, m.duration);
-                            if m.retry {
-                                c.log.retry_delivered();
-                                obs.record(
-                                    now_model,
-                                    TraceEventKind::RetryDelivered { origin: m.origin },
-                                );
-                            }
-                        }
-                    }
-                    payload += m.payload;
-                    value += m.value;
-                    obs.record(
-                        now_model,
-                        TraceEventKind::Arrival {
-                            arrival: state.received() + 1,
-                            origin: m.origin,
-                            retry: m.retry,
-                        },
-                    );
-                    // Time the whole arrival handler (estimate + ε-scan)
-                    // only when metrics are attached; under a paused test
-                    // clock the measurement is zero, which is harmless.
-                    let scan_begun = obs.metrics.as_ref().map(|_| Instant::now());
-                    let action = state.on_output(now_model);
-                    if let (Some(met), Some(t0)) = (&obs.metrics, scan_begun) {
-                        met.wait_scan_seconds.record(t0.elapsed().as_secs_f64());
-                    }
-                    if obs.trace.is_some() {
-                        // One Estimate + Rearm pair per *new* decision;
-                        // straw-man policies never revise, so they only
-                        // ever log their initial wait.
-                        let detail = state.last_detail();
-                        if detail != prev_detail {
-                            if let Some(d) = detail {
-                                obs.record(
-                                    now_model,
-                                    TraceEventKind::Estimate {
-                                        mu: d.mu,
-                                        sigma: d.sigma,
-                                        samples: d.samples,
-                                    },
-                                );
-                                obs.record(
-                                    now_model,
-                                    TraceEventKind::Rearm {
-                                        wait: d.wait,
-                                        expected_quality: d.expected_quality,
-                                        gain: d.gain,
-                                        loss: d.loss,
-                                    },
-                                );
-                            }
-                            prev_detail = detail;
-                        }
-                    }
-                    match action {
-                        AggregatorAction::Depart => {
-                            reason = if state.received() >= state.ctx().fanout {
-                                ShipReason::AllArrived
-                            } else {
-                                // Revised wait already in the past.
-                                ShipReason::TimerExpired
-                            };
-                            break;
-                        }
-                        AggregatorAction::SetTimer(w) => {
-                            timer = start + scale.to_wall(w);
-                        }
-                    }
-                }
-                // All senders gone: nothing more can arrive.
-                None => break,
-            },
+            let mut rng = StdRng::seed_from_u64(c.plan.retry_seed(id));
+            let dur = c.dist.sample(&mut rng);
+            let fire_at = at + scale.to_wall(dur);
+            let retry_tx = retry_tx.clone();
+            let value = c.values[id];
+            // cedar-lint: allow(L10): at most one retry per missing child; `missing` is within the fan-in range fixed by the validated tree
+            tokio::spawn(async move {
+                tokio::time::sleep_until(fire_at).await;
+                let _ = retry_tx
+                    .send(PartialResult {
+                        payload: 1,
+                        value,
+                        origin: id,
+                        duration: dur,
+                        retry: true,
+                    })
+                    .await;
+            });
         }
-    }
-    let depart_model = scale.to_model(start.elapsed());
-    obs.record(
-        depart_model,
-        TraceEventKind::Departed {
-            reason,
-            received: state.received(),
-            expected: state.ctx().fanout,
-        },
-    );
-    // Children missing at departure are right-censored at the departure
-    // time: all we know is their duration exceeds it. Only the bottom
-    // stage feeds the censored refit path — a missing aggregator is
-    // absorbed by the stage above, not re-learned.
+    })
+    .await;
+    let depart_model = out.departed_at;
     if let Some(c) = &chaos {
+        let log = &c.shared.log;
+        log.duplicates_suppressed(out.duplicates_suppressed);
+        log.retries_delivered(out.retries_delivered);
         if c.level == 1 {
-            for id in c.expected.clone() {
-                if !seen.contains(&id) {
-                    c.log.censored(0, id, depart_model);
-                    obs.record(depart_model, TraceEventKind::Censored { origin: id });
-                }
+            for &(id, duration) in &out.observed {
+                log.delivered(0, id, duration);
+            }
+            // Children missing at departure are right-censored at the
+            // departure time: all we know is their duration exceeds it.
+            for &id in &out.censored {
+                log.censored(0, id, depart_model);
             }
         }
     }
-    drop(watchdog);
-    drop(rx);
-    if payload > 0 {
+    if out.payload > 0 {
         // Pair the fault with its chaos wiring so each arm gets both
         // without re-asserting the implication.
-        let own_fault = chaos.as_ref().and_then(|c| c.fault.map(|k| (k, c)));
+        let own_fault = chaos
+            .as_ref()
+            .and_then(|c| c.fault.map(|k| (k, &*c.shared)));
+        let fault_at = |at: f64, k: FaultKind| {
+            if let Some(s) = &site {
+                let fault = k.class();
+                s.record(at, TraceEventKind::FaultInjected { fault, origin });
+            }
+        };
         match own_fault {
             Some((k @ FaultKind::CrashBeforeSend, c)) => {
                 // Died at departure: no aggregation work, no send.
                 c.log.injected(k);
-                obs.record(
-                    depart_model,
-                    TraceEventKind::FaultInjected {
-                        fault: k.class(),
-                        origin,
-                    },
-                );
+                fault_at(depart_model, k);
             }
             Some((k @ FaultKind::Hang, c)) => {
                 c.log.injected(k);
-                obs.record(
-                    depart_model,
-                    TraceEventKind::FaultInjected {
-                        fault: k.class(),
-                        origin,
-                    },
-                );
+                fault_at(depart_model, k);
                 tokio::time::sleep_until(c.hang_until).await;
             }
             own_fault => {
                 let own_duration = match own_fault {
                     Some((k @ FaultKind::Straggle { factor }, c)) => {
                         c.log.injected(k);
-                        obs.record(
-                            depart_model,
-                            TraceEventKind::FaultInjected {
-                                fault: k.class(),
-                                origin,
-                            },
-                        );
+                        fault_at(depart_model, k);
                         own_duration * factor
                     }
                     _ => own_duration,
@@ -848,34 +673,22 @@ async fn aggregator_task(
                 if let Some((k @ FaultKind::DropMessage, c)) = own_fault {
                     // Aggregation completed but the result is lost.
                     c.log.injected(k);
-                    obs.record(
-                        scale.to_model(start.elapsed()),
-                        TraceEventKind::FaultInjected {
-                            fault: k.class(),
-                            origin,
-                        },
-                    );
+                    fault_at(scale.to_model(start.elapsed()), k);
                     return;
                 }
                 if let Some(c) = &chaos {
-                    c.log.delivered(c.level, origin, own_duration);
+                    c.shared.log.delivered(c.level, origin, own_duration);
                 }
                 let msg = PartialResult {
-                    payload,
-                    value,
+                    payload: out.payload,
+                    value: out.value,
                     origin,
                     duration: own_duration,
                     retry: false,
                 };
                 if let Some((k @ FaultKind::DuplicateMessage, c)) = own_fault {
                     c.log.injected(k);
-                    obs.record(
-                        scale.to_model(start.elapsed()),
-                        TraceEventKind::FaultInjected {
-                            fault: k.class(),
-                            origin,
-                        },
-                    );
+                    fault_at(scale.to_model(start.elapsed()), k);
                     let _ = parent_tx.send(msg).await;
                 }
                 let _ = parent_tx.send(msg).await;

@@ -418,12 +418,12 @@ impl ChaosLog {
         self.retries_launched.fetch_add(1, Ordering::AcqRel);
     }
 
-    pub(crate) fn retry_delivered(&self) {
-        self.retries_delivered.fetch_add(1, Ordering::AcqRel);
+    pub(crate) fn retries_delivered(&self, n: usize) {
+        self.retries_delivered.fetch_add(n, Ordering::AcqRel);
     }
 
-    pub(crate) fn duplicate_suppressed(&self) {
-        self.duplicates_suppressed.fetch_add(1, Ordering::AcqRel);
+    pub(crate) fn duplicates_suppressed(&self, n: usize) {
+        self.duplicates_suppressed.fetch_add(n, Ordering::AcqRel);
     }
 
     pub(crate) fn delivered(&self, stage: usize, origin: usize, duration: f64) {
@@ -546,7 +546,7 @@ mod tests {
         log.injected(FaultKind::CrashBeforeSend);
         log.injected(FaultKind::Hang);
         log.retry_launched();
-        log.duplicate_suppressed();
+        log.duplicates_suppressed(1);
         let (report, realized, censored) = log.finish();
         assert_eq!(realized[0], vec![10.0, 50.0]);
         assert_eq!(censored[0], vec![30.0, 30.0]);

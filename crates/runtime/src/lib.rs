@@ -11,9 +11,11 @@
 //! - every leaf **worker** is a task that performs its share of work
 //!   (sleeping for a sampled duration at the configured time scale, then
 //!   producing a partial value);
-//! - every **aggregator** is a task running Pseudocode 1 off a
-//!   `tokio::select!` loop: partial aggregation on arrival, online
-//!   re-estimation, timer re-arm, early departure when all inputs are in;
+//! - every **aggregator** is a task running Pseudocode 1 in [`collect`],
+//!   a `tokio::select!` loop over its arrivals and its timer: partial
+//!   aggregation on arrival, online re-estimation, timer re-arm, early
+//!   departure when all inputs are in. Mesh aggregators run the same
+//!   loop over arrivals decoded off the network;
 //! - the **root** gathers whatever aggregated results arrive before the
 //!   wall-clock deadline.
 //!
@@ -27,21 +29,21 @@
 
 pub mod checkpoint;
 pub mod clock;
+pub mod collect;
 mod engine;
 pub mod faults;
 pub mod metrics;
 pub mod pool;
-pub mod remote;
 mod scale;
 pub mod service;
 
 pub use checkpoint::{Checkpoint, CheckpointConfig, CheckpointError, StageCheckpoint};
+pub use collect::{collect, Arrival, CollectConfig, Collected, TraceSite};
 pub use engine::{
     run_query, run_query_prepared, run_query_with_values, RuntimeConfig, RuntimeOutcome,
 };
 pub use faults::{FailureReport, FaultKind, FaultPlan, FaultSpec, RecoveryPolicy};
 pub use metrics::RuntimeMetrics;
 pub use pool::{ones, VecPool};
-pub use remote::{aggregate_remote, Arrival, RemoteAggConfig, RemoteAggOutcome, RemoteTrace};
 pub use scale::TimeScale;
 pub use service::{AggregationService, QueryOptions, ServiceConfig, WarmRestart};
