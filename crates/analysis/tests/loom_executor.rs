@@ -17,8 +17,19 @@
 //! re-entrant deadlock. This is the guarded regression demanded by the
 //! issue: the buggy protocol must *keep failing* in the model, so the
 //! model itself stays honest.
+//!
+//! The second protocol is the run queue's wake-up handshake. A worker
+//! that finds the queue empty bumps an idle counter and blocks on the
+//! `work_available` condvar; an enqueuer pushes its task and notifies
+//! only when the counter is non-zero. Both sides touch the counter
+//! under the run-queue mutex, and the condvar wait releases that mutex
+//! atomically, so a task enqueued while the last worker goes idle is
+//! always seen: either the worker finds it before sleeping, or the
+//! enqueuer finds the worker asleep and wakes it. The reverted variant
+//! reads the counter before taking the lock, and the checker finds the
+//! interleaving that strands the task.
 
-use cedar_analysis::sched::{self, Builder, Failure, Mutex};
+use cedar_analysis::sched::{self, AtomicUsize, Builder, Failure, Mutex};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
 
@@ -168,4 +179,106 @@ fn concurrent_register_and_cancel_stay_deadlock_free() {
             drain(&timers);
         });
     assert!(s.failure.is_none(), "{:?}", s.failure);
+}
+
+/// Stand-in for the multi-thread run queue: the number of queued tasks
+/// behind the queue mutex, the idle-worker counter, and the condvar's
+/// wait set. `idle` is a model atomic only so the reverted variant can
+/// read it without the lock; the production discipline changes and
+/// reads it under `queue` alone.
+struct RunQueue {
+    queue: Mutex<usize>,
+    idle: AtomicUsize,
+    wait_set: Mutex<WaitSet>,
+}
+
+/// `work_available`'s waiters: parked and not yet notified, or
+/// notified and due to re-take the queue lock.
+#[derive(Default)]
+struct WaitSet {
+    parked: usize,
+    woken: usize,
+}
+
+/// One scheduling turn of `worker_loop`: run a queued task, or go idle
+/// and block on the condvar.
+fn worker_turn(rq: &RunQueue) {
+    let mut queue = rq.queue.lock();
+    if *queue > 0 {
+        *queue -= 1;
+        return;
+    }
+    rq.idle.fetch_add(1);
+    // Condvar::wait joins the wait set and releases the queue lock in
+    // one step: no notify can fall between the two.
+    rq.wait_set.lock().parked += 1;
+    drop(queue);
+}
+
+/// `Shared::enqueue`: push, then notify one worker if any is idle.
+fn enqueue(rq: &RunQueue, idle_under_lock: bool) {
+    // Reverted shape: the counter is read before the push, outside
+    // the queue lock.
+    let stale = (!idle_under_lock).then(|| rq.idle.load());
+    let mut queue = rq.queue.lock();
+    *queue += 1;
+    let idle = stale.unwrap_or_else(|| rq.idle.load());
+    drop(queue);
+    if idle > 0 {
+        // Condvar::notify_one: wakes a parked waiter, or nobody.
+        let mut waiters = rq.wait_set.lock();
+        if waiters.parked > 0 {
+            waiters.parked -= 1;
+            waiters.woken += 1;
+        }
+    }
+}
+
+/// The last busy worker takes its turn while a foreign thread enqueues
+/// one task. Afterwards a woken worker re-takes the lock and drains the
+/// queue; a task left behind with no worker awake is stranded (in
+/// production, until the 100 ms wait timeout — the fallback this
+/// handshake must not depend on).
+fn wake_up_model(idle_under_lock: bool) {
+    let rq = Arc::new(RunQueue {
+        queue: Mutex::new(0),
+        idle: AtomicUsize::new(0),
+        wait_set: Mutex::new(WaitSet::default()),
+    });
+    let rq2 = Arc::clone(&rq);
+    let worker = sched::spawn(move || worker_turn(&rq2));
+    // The model's main thread is the foreign enqueuer.
+    enqueue(&rq, idle_under_lock);
+    worker.join();
+    let woken = rq.wait_set.lock().woken;
+    let mut queue = rq.queue.lock();
+    for _ in 0..woken {
+        rq.idle.store(rq.idle.load() - 1);
+        *queue = 0;
+    }
+    assert_eq!(
+        *queue, 0,
+        "task stranded: enqueued with every worker asleep"
+    );
+}
+
+#[test]
+fn task_enqueued_as_the_last_worker_goes_idle_always_runs() {
+    let s = Builder::new().explore(|| wake_up_model(true));
+    assert!(s.failure.is_none(), "{:?}", s.failure);
+    assert!(!s.truncated, "explored only {} runs", s.runs);
+}
+
+#[test]
+fn reverted_idle_read_strands_a_task_in_the_model() {
+    let s = Builder::new().explore(|| wake_up_model(false));
+    match s.failure {
+        Some(Failure::Panic { ref message }) => {
+            assert!(message.contains("stranded"), "{message}");
+        }
+        other => panic!(
+            "reading the idle counter outside the lock must strand a task, got {other:?} after {} runs",
+            s.runs
+        ),
+    }
 }

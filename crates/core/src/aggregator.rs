@@ -159,6 +159,7 @@ mod tests {
             levels_total: 2,
             scan_steps: 100,
             qup_grid: std::sync::OnceLock::new(),
+            prior_wait: std::sync::OnceLock::new(),
         }
     }
 

@@ -60,6 +60,13 @@ pub struct PolicyContext {
     /// arrival of every query on the same (priors epoch, deadline) reuses
     /// one table. Construct with [`OnceLock::new`].
     pub qup_grid: OnceLock<Arc<QupGrid>>,
+    /// Memo of the scan against `prior_lower`: the initial wait of
+    /// Cedar and Cedar-offline. Like `qup_grid` it depends only on fields
+    /// fixed for the life of the context, so the probe run by
+    /// [`PreparedContexts::new`](crate::PreparedContexts::new) fills it
+    /// and every context cloned from it reuses the decision. Construct
+    /// with [`OnceLock::new`].
+    pub prior_wait: OnceLock<WaitDecision>,
 }
 
 impl PolicyContext {
@@ -82,6 +89,11 @@ impl PolicyContext {
             }))
         });
         calculate_wait_with_grid(lower, self.fanout, grid)
+    }
+
+    /// The scan against `prior_lower`, run once per context.
+    pub fn prior_scan(&self) -> WaitDecision {
+        *self.prior_wait.get_or_init(|| self.scan(&self.prior_lower))
     }
 
     /// Marginal quality gain/loss of the ε-step ending at `wait`, using
@@ -298,7 +310,7 @@ impl CedarPolicy {
 
 impl WaitPolicy for CedarPolicy {
     fn initial_wait(&mut self, ctx: &PolicyContext) -> f64 {
-        ctx.scan(&ctx.prior_lower).wait
+        ctx.prior_scan().wait
     }
 
     fn on_arrival(&mut self, ctx: &PolicyContext, arrival: f64) -> Option<f64> {
@@ -360,7 +372,7 @@ pub struct CedarOfflinePolicy;
 
 impl WaitPolicy for CedarOfflinePolicy {
     fn initial_wait(&mut self, ctx: &PolicyContext) -> f64 {
-        ctx.scan(&ctx.prior_lower).wait
+        ctx.prior_scan().wait
     }
 
     fn on_arrival(&mut self, _ctx: &PolicyContext, _arrival: f64) -> Option<f64> {
@@ -465,6 +477,7 @@ mod tests {
             levels_total: 2,
             scan_steps: 300,
             qup_grid: OnceLock::new(),
+            prior_wait: OnceLock::new(),
         }
     }
 
@@ -530,6 +543,7 @@ mod tests {
             levels_total: 2,
             scan_steps: 800,
             qup_grid: OnceLock::new(),
+            prior_wait: OnceLock::new(),
         }
     }
 

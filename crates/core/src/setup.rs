@@ -76,13 +76,15 @@ impl PreparedContexts {
                 levels_total: n,
                 scan_steps,
                 qup_grid: std::sync::OnceLock::new(),
+                prior_wait: std::sync::OnceLock::new(),
             };
 
             // Chain the expected wait for the next level's arrival-time
             // distribution: what this policy picks before any arrivals.
             // The probe's scan also populates the context's memoized
-            // upstream-quality grid, so every query cloned from this
-            // context shares one pre-built table.
+            // upstream-quality grid and, for Cedar and Cedar-offline, its
+            // prior-scan decision, so every query cloned from this
+            // context shares one pre-built table and one initial wait.
             let mut probe = kind.instantiate(ctx.fanout, model);
             prior_wait_below = probe.initial_wait(&ctx);
 
@@ -205,5 +207,28 @@ mod tests {
         // the raw stage-2 mean.
         let raw_mean = t.stage(1).dist.mean();
         assert!(p.contexts()[1].prior_lower.mean() > raw_mean);
+    }
+
+    #[test]
+    fn probe_caches_the_initial_wait_bit_identically() {
+        let p = PreparedContexts::new(
+            &tree(),
+            25.0,
+            WaitPolicyKind::Cedar,
+            Model::LogNormal,
+            100,
+            &ProfileConfig::default(),
+        );
+        let ctx = &p.for_query(&tree())[0];
+        let cached = *ctx.prior_wait.get().expect("filled by the probe");
+        let fresh = PolicyContext {
+            prior_wait: std::sync::OnceLock::new(),
+            ..ctx.clone()
+        };
+        assert_eq!(cached, fresh.scan(&fresh.prior_lower));
+        for kind in [WaitPolicyKind::Cedar, WaitPolicyKind::CedarOffline] {
+            let mut policy = kind.instantiate(ctx.fanout, Model::LogNormal);
+            assert_eq!(policy.initial_wait(ctx).to_bits(), cached.wait.to_bits());
+        }
     }
 }

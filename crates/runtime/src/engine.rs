@@ -1,5 +1,15 @@
-//! Query execution on the tokio runtime: workers, aggregators and root
-//! wired by channels, timers driven by the wall clock.
+//! Query execution on the tokio runtime: leaf workers, aggregators and
+//! root wired by channels, timers driven by the wall clock.
+//!
+//! Every aggregator is its own task running [`collect`]. The leaf
+//! workers are not: each bottom aggregator gets one *feeder* task that
+//! plays its children's completions in `(fire time, origin)` order,
+//! sending each result into the aggregator's channel when its sampled
+//! duration elapses, and applying each worker's fault fate (straggle,
+//! hang, crash, drop, duplicate) at the same model instant a dedicated
+//! worker task would. A query therefore spawns one task per aggregator,
+//! one feeder per bottom aggregator, and one task per speculative retry
+//! — not one per leaf process.
 
 use crate::collect::{collect, CollectConfig, TraceSite};
 use crate::faults::{ChaosLog, FailureReport, FaultKind, FaultPlan};
@@ -297,11 +307,12 @@ pub async fn run_query_prepared(
 
     // Chaos wiring (None on clean runs; the clean path below is
     // byte-identical to the fault-free engine).
+    let hang_until = deadline_instant + cfg.scale.to_wall(1.0);
     let chaos = cfg.faults.as_ref().map(|plan| {
         Arc::new(ChaosShared {
             plan: plan.clone(),
             log: ChaosLog::new(n),
-            hang_until: deadline_instant + cfg.scale.to_wall(1.0),
+            hang_until,
             dist: cfg.tree.stage(0).dist.clone(),
             values: values.clone(),
         })
@@ -404,88 +415,43 @@ pub async fn run_query_prepared(
         }
     }
 
-    // Workers. Faults strike at the channel-send boundary: the sampled
-    // duration is the work, the send is the one act a fault can deny.
+    // Leaf workers: one feeder per bottom aggregator plays its children.
+    // Faults strike at the channel-send boundary: the sampled duration
+    // is the work, the send is the one act a fault can deny.
     let k1 = cfg.tree.stage(0).fanout;
-    for (i, &dur) in process_durations.iter().enumerate() {
-        let tx = level1_txs[i / k1].clone();
-        // A fault only exists with its chaos wiring; carrying them as a
-        // pair keeps that invariant in the type instead of in expects.
-        let fault = chaos
-            .as_ref()
-            .and_then(|c| c.plan.fault_for(0, i).map(|k| (k, Arc::clone(c))));
-        // A trace handle rides along only when this worker has a fault
-        // to report (its only trace-worthy events are injections).
-        let wtrace = if fault.is_some() {
-            cfg.trace.clone()
-        } else {
-            None
-        };
-        let dur = match &fault {
-            Some((FaultKind::Straggle { factor }, _)) => dur * factor,
-            _ => dur,
-        };
-        let fire_at = start + cfg.scale.to_wall(dur);
-        let scale = cfg.scale;
-        let value = values[i];
-        // cedar-lint: allow(L10): one task per worker of the validated tree; process_durations is sized by the decode-time fan-out caps
-        tokio::spawn(async move {
-            // Mirror every ChaosLog::injected call into the trace at the
-            // same instant so trace and FailureReport counts agree.
-            let trace_fault = |k: FaultKind| {
-                if let Some(t) = &wtrace {
-                    t.record(
-                        scale.to_model(start.elapsed()),
-                        0,
-                        i,
-                        TraceEventKind::FaultInjected {
-                            fault: k.class(),
-                            origin: i,
-                        },
-                    );
+    let feeder = Feeder {
+        chaos: chaos.clone(),
+        trace: cfg.trace.clone(),
+        scale: cfg.scale,
+        start,
+    };
+    for (agg, tx) in level1_txs.into_iter().enumerate() {
+        let leaves = (agg * k1..(agg + 1) * k1)
+            .map(|origin| {
+                let fault = chaos.as_ref().and_then(|c| c.plan.fault_for(0, origin));
+                let duration = match fault {
+                    Some(FaultKind::Straggle { factor }) => process_durations[origin] * factor,
+                    _ => process_durations[origin],
+                };
+                let fire_at = match fault {
+                    // A hung worker never finishes: it holds its sender
+                    // past the deadline so the channel cannot close early.
+                    Some(FaultKind::Hang) => hang_until,
+                    _ => start + cfg.scale.to_wall(duration),
+                };
+                Leaf {
+                    fire_at,
+                    origin,
+                    duration,
+                    value: values[origin],
+                    fault,
                 }
-            };
-            match fault {
-                Some((FaultKind::Hang, c)) => {
-                    c.log.injected(FaultKind::Hang);
-                    trace_fault(FaultKind::Hang);
-                    // Never finishes: holds `tx` past the deadline so the
-                    // channel cannot close early, then exits unsent.
-                    tokio::time::sleep_until(c.hang_until).await;
-                }
-                Some((k @ (FaultKind::CrashBeforeSend | FaultKind::DropMessage), c)) => {
-                    // The work happens; the result never leaves the host.
-                    tokio::time::sleep_until(fire_at).await;
-                    c.log.injected(k);
-                    trace_fault(k);
-                }
-                fault => {
-                    if let Some((k @ FaultKind::Straggle { .. }, c)) = &fault {
-                        c.log.injected(*k);
-                        trace_fault(*k);
-                    }
-                    tokio::time::sleep_until(fire_at).await;
-                    let msg = PartialResult {
-                        payload: 1,
-                        value,
-                        origin: i,
-                        duration: dur,
-                        retry: false,
-                    };
-                    if let Some((k @ FaultKind::DuplicateMessage, c)) = &fault {
-                        c.log.injected(*k);
-                        trace_fault(*k);
-                        let _ = tx.send(msg).await;
-                    }
-                    // The aggregator may already have departed; a send error is
-                    // exactly the "output ignored upstream" case.
-                    let _ = tx.send(msg).await;
-                }
-            }
-        });
+            })
+            .collect();
+        // cedar-lint: allow(L10): one task per bottom aggregator of the validated tree; the loop bound is the tree shape, not raw client input
+        tokio::spawn(feeder.clone().run(leaves, tx));
     }
     // Drop our clones so channels close when tasks finish.
-    drop(level1_txs);
     drop(upper_txs);
 
     // Root: gather until the deadline (suppressing duplicate top-level
@@ -697,6 +663,105 @@ async fn aggregator_task(
     }
 }
 
+/// One leaf worker as its feeder plays it.
+struct Leaf {
+    /// When the worker's fate plays out: its completion for a live
+    /// worker (straggle included), the hang release for a hung one.
+    fire_at: Instant,
+    origin: usize,
+    /// Realized model-time duration (inflated for a straggler).
+    duration: f64,
+    value: f64,
+    fault: Option<FaultKind>,
+}
+
+/// Per-query wiring shared by every feeder.
+#[derive(Clone)]
+struct Feeder {
+    chaos: Option<Arc<ChaosShared>>,
+    trace: Option<Arc<QueryTrace>>,
+    scale: TimeScale,
+    start: Instant,
+}
+
+impl Feeder {
+    /// Records an injected worker fault in the chaos log and, at the
+    /// same instant, in the trace, so their counts agree.
+    fn inject(&self, kind: FaultKind, origin: usize) {
+        if let Some(c) = &self.chaos {
+            c.log.injected(kind);
+        }
+        if let Some(t) = &self.trace {
+            t.record(
+                self.scale.to_model(self.start.elapsed()),
+                0,
+                origin,
+                TraceEventKind::FaultInjected {
+                    fault: kind.class(),
+                    origin,
+                },
+            );
+        }
+    }
+
+    /// Plays one bottom aggregator's leaf workers into `tx`.
+    ///
+    /// Hangs and straggles are injected up front, as a worker learns
+    /// its fate when it starts; crashes, drops and duplicates at fire
+    /// time. Results go out in `(fire_at, origin)` order, every already
+    /// due one in the same wake. Once a send fails the aggregator has
+    /// departed: only entries with a fault still to log are played on.
+    async fn run(self, mut leaves: Vec<Leaf>, tx: mpsc::Sender<PartialResult>) {
+        for leaf in &leaves {
+            if let Some(k @ (FaultKind::Hang | FaultKind::Straggle { .. })) = leaf.fault {
+                self.inject(k, leaf.origin);
+            }
+        }
+        leaves.sort_by_key(|l| (l.fire_at, l.origin));
+        let mut departed = false;
+        for leaf in leaves {
+            let injects_at_fire = matches!(
+                leaf.fault,
+                Some(
+                    FaultKind::CrashBeforeSend
+                        | FaultKind::DropMessage
+                        | FaultKind::DuplicateMessage
+                )
+            );
+            if departed && !injects_at_fire {
+                continue;
+            }
+            tokio::time::sleep_until(leaf.fire_at).await;
+            let copies = match leaf.fault {
+                // The released hang sends nothing.
+                Some(FaultKind::Hang) => 0,
+                // The work happens; the result never leaves the host.
+                Some(k @ (FaultKind::CrashBeforeSend | FaultKind::DropMessage)) => {
+                    self.inject(k, leaf.origin);
+                    0
+                }
+                Some(k @ FaultKind::DuplicateMessage) => {
+                    self.inject(k, leaf.origin);
+                    2
+                }
+                _ => 1,
+            };
+            let msg = PartialResult {
+                payload: 1,
+                value: leaf.value,
+                origin: leaf.origin,
+                duration: leaf.duration,
+                retry: false,
+            };
+            for _ in 0..copies {
+                // A send error is exactly the "output ignored upstream"
+                // case: the aggregator already departed.
+                departed = departed || tx.send(msg).await.is_err();
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -841,5 +906,126 @@ mod tests {
             let cfg = RuntimeConfig::new(small_tree(), 30.0);
             run_query_with_values(&cfg, WaitPolicyKind::Cedar, Arc::new(vec![1.0])).await;
         });
+    }
+
+    /// One seeded query under a mixed fault plan (crash, hang, straggle,
+    /// drop and duplicate, plus speculative retries), pinned to recorded
+    /// values: the fault bookkeeping must not depend on how the leaves
+    /// are scheduled.
+    #[tokio::test(start_paused = true)]
+    async fn mixed_faults_pin_the_outcome() {
+        use crate::faults::{FaultSpec, RecoveryPolicy};
+        use cedar_telemetry::FaultClass;
+
+        let spec = FaultSpec {
+            crash: 0.1,
+            hang: 0.1,
+            straggle: 0.1,
+            straggle_factor: 3.0,
+            drop: 0.1,
+            duplicate: 0.1,
+            workers_only: true,
+        };
+        let plan = FaultPlan::new(0, spec).with_recovery(RecoveryPolicy {
+            watchdog_quantile: 0.7,
+            speculative_retry: true,
+        });
+        let trace = Arc::new(QueryTrace::new());
+        let cfg = RuntimeConfig::new(small_tree(), 40.0)
+            .with_seed(0)
+            .with_faults(plan)
+            .with_trace(Arc::clone(&trace));
+        let values: Vec<f64> = (0..32).map(f64::from).collect();
+        let out = run_query_with_values(&cfg, WaitPolicyKind::Cedar, Arc::new(values)).await;
+
+        assert_eq!(out.included_outputs, 29);
+        assert_eq!(out.value_sum, 442.0);
+        assert_eq!(
+            out.realized_durations,
+            vec![
+                vec![
+                    10.694293979092288,
+                    11.590368264802178,
+                    2.299225716032438,
+                    8.394085129663004,
+                    5.008364104422022,
+                    11.556450065894998,
+                    4.6368673746939,
+                    11.06122335559028,
+                    6.855231940874804,
+                    8.453113125940959,
+                    3.8579073086366424,
+                    3.5720547313315048,
+                    10.288357708703321,
+                    2.744450208697876,
+                    6.603525720460826,
+                    6.963038201880679,
+                    7.375845168594585,
+                    4.7153495063158175,
+                    8.081406562968318,
+                    4.022267520817319,
+                    8.436068477354624,
+                    4.503100271657672,
+                    7.15760257036835,
+                    13.658072842717361,
+                    2.889596925287424,
+                    2.953763620883492,
+                    5.121340129069366,
+                    4.618949590510158,
+                    10.174110795019867,
+                ],
+                vec![
+                    12.874291244931447,
+                    8.88138214742616,
+                    3.102561205527132,
+                    4.085134860772018,
+                ],
+            ]
+        );
+        assert_eq!(
+            out.censored_durations,
+            vec![vec![25.6, 25.733333000000002, 25.6], vec![]]
+        );
+        assert_eq!(
+            out.failures,
+            FailureReport {
+                crashed: 3,
+                hung: 3,
+                straggled: 3,
+                dropped: 4,
+                duplicated: 2,
+                retries_launched: 17,
+                retries_delivered: 10,
+                duplicates_suppressed: 6,
+                censored_observations: 3,
+            }
+        );
+        assert!(out.failures.matches_trace(&trace.summary()));
+
+        // A crash or drop that fires after its aggregator departed is
+        // still counted as injected, at its own fire time.
+        let events = trace.events();
+        let departed_at = |agg: usize| {
+            events
+                .iter()
+                .find(|e| {
+                    e.level == 1
+                        && e.index == agg
+                        && matches!(e.kind, TraceEventKind::Departed { .. })
+                })
+                .map(|e| e.at)
+        };
+        let late = events.iter().filter(|e| {
+            e.level == 0
+                && matches!(
+                    e.kind,
+                    TraceEventKind::FaultInjected {
+                        fault: FaultClass::Crash | FaultClass::Drop,
+                        ..
+                    }
+                )
+                && departed_at(e.index / 8).is_some_and(|t| e.at > t)
+        });
+        assert_eq!(late.count(), 1);
     }
 }
