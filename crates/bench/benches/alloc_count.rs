@@ -3,11 +3,11 @@
 //!
 //! Not a timing bench: it prints a table of heap allocation events per
 //! call, measured after warmup, for the per-arrival decision path and
-//! both wire codecs. The steady-state rows (grid-driven wait scan,
-//! batched CDFs, binary encode into a reused buffer, interned ones)
-//! must read 0.00; the decode rows document what an owned message
-//! costs, which the zero-copy layout keeps to a handful of allocations
-//! instead of a serde_json tree.
+//! both wire codecs. The steady-state rows (grid-driven wait scan, a
+//! Cedar aggregator's arrival handler, batched CDFs, binary encode into
+//! a reused buffer, interned ones) must read 0.00; the decode rows
+//! document what an owned message costs, which the zero-copy layout
+//! keeps to a handful of allocations instead of a serde_json tree.
 //!
 //! Run with `cargo bench --bench alloc_count`.
 
@@ -86,6 +86,16 @@ fn main() {
         "calculate_wait_with_grid",
         allocs_per_op(WARMUP, ROUNDS, || {
             black_box(calculate_wait_with_grid(&lower, 50, &grid).wait);
+        }),
+    ));
+
+    // A Cedar aggregator's whole arrival handler past `min_samples`.
+    let (mut agg, arrivals) = cedar_bench::cedar_aggregator();
+    let mut next = arrivals.iter();
+    rows.push((
+        "AggregatorState::on_output (Cedar)",
+        allocs_per_op(WARMUP, ROUNDS, || {
+            black_box(agg.on_output(*next.next().expect("fan-out covers every round")));
         }),
     ));
 
@@ -176,6 +186,7 @@ fn main() {
     }
     let steady = [
         "calculate_wait_with_grid",
+        "AggregatorState::on_output (Cedar)",
         "Mixture::cdf_batch (500 pts)",
         "binary encode (reused buf)",
         "pool::ones (warm length)",

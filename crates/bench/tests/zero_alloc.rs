@@ -6,6 +6,9 @@
 //!
 //! - the per-arrival wait scan (`calculate_wait_with_grid` driven by a
 //!   memoized `QupGrid`, batch CDF through thread-local scratch);
+//! - a Cedar aggregator's whole arrival handler
+//!   (`AggregatorState::on_output` past `min_samples`: estimator update,
+//!   estimate, scan of a stack distribution, timer re-arm);
 //! - batched CDF evaluation itself, including the `Mixture` override
 //!   (fixed-size stack chunks, no per-call scratch vector);
 //! - binary wire encoding into a reused frame buffer
@@ -31,6 +34,7 @@
 //! either.
 
 use cedar_core::wait::{calculate_wait_with_grid, QupGrid};
+use cedar_core::AggregatorAction;
 use cedar_distrib::spec::DistSpec;
 use cedar_distrib::{ContinuousDist, LogNormal, Mixture, Pareto};
 use cedar_server::proto::Request;
@@ -138,6 +142,23 @@ fn steady_state_hot_paths_do_not_allocate() {
     assert_eq!(
         scan_events, 0,
         "calculate_wait_with_grid allocated in steady state"
+    );
+
+    // --- A Cedar aggregator's arrivals: observe, estimate, scan the
+    // estimate as a stack distribution, re-arm the timer. ---
+    let (mut agg, arrivals) = cedar_bench::cedar_aggregator();
+    let mut next = arrivals.iter();
+    let arrival_events = measure("cedar_on_output", WARMUP, ROUNDS, || {
+        let now = *next.next().expect("fan-out covers every round");
+        let action = agg.on_output(black_box(now));
+        assert!(
+            matches!(action, AggregatorAction::SetTimer(_)),
+            "{action:?}"
+        );
+    });
+    assert_eq!(
+        arrival_events, 0,
+        "AggregatorState::on_output (Cedar) allocated in steady state"
     );
 
     // --- Batched CDF with the Mixture override (stack-chunk scratch). ---

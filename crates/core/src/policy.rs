@@ -9,9 +9,10 @@
 
 use crate::profile::QualityProfile;
 use crate::wait::{calculate_wait_with_grid, gain_loss_at, QupGrid, WaitDecision};
-use cedar_distrib::ContinuousDist;
+use cedar_distrib::{ContinuousDist, LogNormal, Normal};
 use cedar_estimate::{
     CedarEstimator, DurationEstimator, EmpiricalEstimator, Model, PairwiseCedarEstimator,
+    ParamEstimate,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -74,6 +75,16 @@ impl PolicyContext {
         (self.deadline / self.scan_steps as f64).max(f64::MIN_POSITIVE)
     }
 
+    /// The memoized upstream quality grid, built on first use. Callers
+    /// check `deadline > 0` first, as [`QupGrid::build`] requires.
+    fn grid(&self) -> &QupGrid {
+        self.qup_grid.get_or_init(|| {
+            Arc::new(QupGrid::build(self.deadline, self.epsilon(), |rem| {
+                self.upper.eval(rem)
+            }))
+        })
+    }
+
     /// Runs the CALCULATEWAIT scan against an arbitrary lower
     /// distribution, memoizing the upstream quality grid on first use.
     pub fn scan(&self, lower: &dyn ContinuousDist) -> WaitDecision {
@@ -83,12 +94,7 @@ impl PolicyContext {
                 quality: 0.0,
             };
         }
-        let grid = self.qup_grid.get_or_init(|| {
-            Arc::new(QupGrid::build(self.deadline, self.epsilon(), |rem| {
-                self.upper.eval(rem)
-            }))
-        });
-        calculate_wait_with_grid(lower, self.fanout, grid)
+        calculate_wait_with_grid(lower, self.fanout, self.grid())
     }
 
     /// The scan against `prior_lower`, run once per context.
@@ -104,12 +110,7 @@ impl PolicyContext {
         if self.deadline <= 0.0 {
             return (0.0, 0.0);
         }
-        let grid = self.qup_grid.get_or_init(|| {
-            Arc::new(QupGrid::build(self.deadline, self.epsilon(), |rem| {
-                self.upper.eval(rem)
-            }))
-        });
-        gain_loss_at(lower, self.fanout, grid, wait)
+        gain_loss_at(lower, self.fanout, self.grid(), wait)
     }
 }
 
@@ -306,6 +307,31 @@ impl CedarPolicy {
         self.recompute_every = recompute_every.max(1);
         self
     }
+
+    /// Re-runs CALCULATEWAIT against `dist`, the distribution of `est`,
+    /// recording the decision detail when explain mode is on; returns
+    /// the new wait.
+    fn revise(
+        &mut self,
+        ctx: &PolicyContext,
+        est: &ParamEstimate,
+        dist: &dyn ContinuousDist,
+    ) -> f64 {
+        let dec = ctx.scan(dist);
+        if self.explain {
+            let (gain, loss) = ctx.gain_loss(dist, dec.wait);
+            self.detail = Some(DecisionDetail {
+                mu: est.mu,
+                sigma: est.sigma,
+                samples: self.arrivals_seen,
+                wait: dec.wait,
+                expected_quality: dec.quality,
+                gain,
+                loss,
+            });
+        }
+        dec.wait
+    }
 }
 
 impl WaitPolicy for CedarPolicy {
@@ -321,22 +347,12 @@ impl WaitPolicy for CedarPolicy {
         {
             return None;
         }
+        // Scanned as a stack value, so an arrival allocates nothing.
         let est = self.estimator.estimate()?;
-        let dist = est.to_dist().ok()?;
-        let dec = ctx.scan(&dist);
-        if self.explain {
-            let (gain, loss) = ctx.gain_loss(&dist, dec.wait);
-            self.detail = Some(DecisionDetail {
-                mu: est.mu,
-                sigma: est.sigma,
-                samples: self.arrivals_seen,
-                wait: dec.wait,
-                expected_quality: dec.quality,
-                gain,
-                loss,
-            });
-        }
-        Some(dec.wait)
+        Some(match est.model {
+            Model::LogNormal => self.revise(ctx, &est, &LogNormal::new(est.mu, est.sigma).ok()?),
+            Model::Normal => self.revise(ctx, &est, &Normal::new(est.mu, est.sigma).ok()?),
+        })
     }
 
     fn set_explain(&mut self, on: bool) {

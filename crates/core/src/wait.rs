@@ -11,25 +11,28 @@ use cedar_distrib::ContinuousDist;
 use cedar_mathx::KahanSum;
 use std::cell::RefCell;
 
-/// Reusable per-thread buffers for the batched scan: the ε-grid, the
-/// batched lower-stage CDF values, and (for the closure-driven entry
-/// point) the upstream quality values. Sized on first use and reused, so
-/// steady-state scans allocate nothing.
-#[derive(Default)]
+/// Reusable per-thread buffers for the scan: the batched lower-stage CDF
+/// values, each step's net quality change, and (for the closure-driven
+/// entry point) a grid refilled per call. Sized on first use and reused,
+/// so steady-state scans allocate nothing.
 struct Scratch {
-    ts: Vec<f64>,
+    grid: QupGrid,
     fs: Vec<f64>,
-    qs: Vec<f64>,
+    net: Vec<f64>,
+}
+
+impl Scratch {
+    const fn new() -> Self {
+        Self {
+            grid: QupGrid::EMPTY,
+            fs: Vec::new(),
+            net: Vec::new(),
+        }
+    }
 }
 
 thread_local! {
-    static SCRATCH: RefCell<Scratch> = const {
-        RefCell::new(Scratch {
-            ts: Vec::new(),
-            fs: Vec::new(),
-            qs: Vec::new(),
-        })
-    };
+    static SCRATCH: RefCell<Scratch> = const { RefCell::new(Scratch::new()) };
 }
 
 /// Runs `f` with the thread-local scratch, falling back to a fresh
@@ -38,7 +41,7 @@ thread_local! {
 fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut Scratch::default()),
+        Err(_) => f(&mut Scratch::new()),
     })
 }
 
@@ -48,22 +51,17 @@ fn scan_steps(deadline: f64, epsilon: f64) -> usize {
     ((deadline / epsilon).ceil() as usize).max(1)
 }
 
-/// Fills `ts[i]` with the departure candidate of step `i`:
-/// `t_next = (i + 1) * epsilon`, clamped to the deadline. The expression
-/// mirrors the scalar loop exactly so both paths scan identical grids.
-fn fill_grid(ts: &mut Vec<f64>, deadline: f64, epsilon: f64, steps: usize) {
-    ts.clear();
-    ts.extend((0..steps).map(|i| (i as f64 * epsilon + epsilon).min(deadline)));
-}
-
-/// The upstream quality function `q_{n-1}` pre-evaluated on a scan grid.
+/// Everything a scan reads that does not depend on the lower-stage
+/// estimate: the ε-grid, its logarithms and the upstream quality
+/// function `q_{n-1}` pre-evaluated on it.
 ///
 /// A Cedar aggregator re-runs the wait scan on *every* downstream arrival,
 /// and within one query (and across concurrent queries sharing a priors
 /// epoch and deadline) the upstream quality function does not change —
 /// only the lower-stage estimate does. Building this table once and
 /// passing it to [`calculate_wait_with_grid`] removes the per-arrival
-/// `q_up` evaluations (an interpolation-table walk per ε-step) entirely.
+/// `q_up` evaluations (an interpolation-table walk per ε-step), grid
+/// fills and `ln t` evaluations entirely.
 ///
 /// The grid stores `q_up(deadline - t_next)` for each step's departure
 /// candidate `t_next`, plus the initial value `q_up(deadline)`, all
@@ -77,9 +75,23 @@ pub struct QupGrid {
     q0: f64,
     /// `q_up(deadline - t_next_i)` for step `i`.
     values: Vec<f64>,
+    /// Step `i`'s departure candidate `t_next_i = (i + 1) * epsilon`,
+    /// clamped to the deadline.
+    ts: Vec<f64>,
+    /// `ln t_next_i`, handed to [`ContinuousDist::cdf_batch_ln`].
+    ln_ts: Vec<f64>,
 }
 
 impl QupGrid {
+    const EMPTY: Self = Self {
+        deadline: 0.0,
+        epsilon: 0.0,
+        q0: 0.0,
+        values: Vec::new(),
+        ts: Vec::new(),
+        ln_ts: Vec::new(),
+    };
+
     /// Evaluates `q_up` over the scan grid for `(deadline, epsilon)`.
     ///
     /// # Panics
@@ -91,19 +103,32 @@ impl QupGrid {
     {
         assert!(epsilon > 0.0, "epsilon must be positive");
         assert!(deadline > 0.0, "deadline must be positive");
+        let mut grid = Self::EMPTY;
+        grid.fill(deadline, epsilon, q_up);
+        grid
+    }
+
+    /// Rebuilds the grid in place for `(deadline, epsilon)`, reusing the
+    /// buffers' capacity.
+    fn fill<Q>(&mut self, deadline: f64, epsilon: f64, q_up: Q)
+    where
+        Q: Fn(f64) -> f64,
+    {
         let steps = scan_steps(deadline, epsilon);
-        let values = (0..steps)
-            .map(|i| {
-                let t_next = (i as f64 * epsilon + epsilon).min(deadline);
-                q_up(deadline - t_next).clamp(0.0, 1.0)
-            })
-            .collect();
-        Self {
-            deadline,
-            epsilon,
-            q0: q_up(deadline).clamp(0.0, 1.0),
-            values,
-        }
+        self.deadline = deadline;
+        self.epsilon = epsilon;
+        self.q0 = q_up(deadline).clamp(0.0, 1.0);
+        self.ts.clear();
+        self.ts
+            .extend((0..steps).map(|i| (i as f64 * epsilon + epsilon).min(deadline)));
+        self.ln_ts.clear();
+        self.ln_ts.extend(self.ts.iter().map(|t| t.ln()));
+        self.values.clear();
+        self.values.extend(
+            self.ts
+                .iter()
+                .map(|&t_next| q_up(deadline - t_next).clamp(0.0, 1.0)),
+        );
     }
 
     /// The deadline this grid was built for.
@@ -132,9 +157,6 @@ pub struct WaitDecision {
     /// subtree rooted at this aggregator.
     pub quality: f64,
 }
-
-/// Number of ε-steps used when the caller does not specify a resolution.
-pub const DEFAULT_STEPS: usize = 500;
 
 /// Scans wait durations in `[0, deadline]` with step `epsilon` and returns
 /// the quality-maximizing wait (Pseudocode 2).
@@ -192,31 +214,25 @@ where
             quality: 0.0,
         };
     }
-
-    let steps = scan_steps(deadline, epsilon);
     with_scratch(|scratch| {
-        fill_grid(&mut scratch.ts, deadline, epsilon, steps);
-        scratch.qs.clear();
-        scratch.qs.extend(
-            scratch
-                .ts
-                .iter()
-                .map(|&t_next| q_up(deadline - t_next).clamp(0.0, 1.0)),
-        );
-        scratch.fs.resize(steps, 0.0);
-        lower.cdf_batch(&scratch.ts, &mut scratch.fs);
-        let q0 = q_up(deadline).clamp(0.0, 1.0);
-        accumulate_scan(lower, fanout, &scratch.ts, &scratch.fs, q0, &scratch.qs)
+        scratch.grid.fill(deadline, epsilon, q_up);
+        scan(
+            lower,
+            fanout,
+            &scratch.grid,
+            &mut scratch.fs,
+            &mut scratch.net,
+        )
     })
 }
 
 /// Scans wait durations against a pre-built upstream quality grid.
 ///
 /// The per-arrival fast path: the lower-stage CDF is evaluated over the
-/// whole ε-grid in one [`ContinuousDist::cdf_batch`] call, and the
-/// upstream quality comes from the memoized [`QupGrid`]. The result is
-/// bit-identical to [`calculate_wait`] with the closure the grid was
-/// built from.
+/// whole ε-grid in one [`ContinuousDist::cdf_batch_ln`] call, and the
+/// grid, its logarithms and the upstream quality come from the memoized
+/// [`QupGrid`]. The result is bit-identical to [`calculate_wait`] with
+/// the closure the grid was built from.
 ///
 /// # Panics
 ///
@@ -227,52 +243,102 @@ pub fn calculate_wait_with_grid(
     grid: &QupGrid,
 ) -> WaitDecision {
     assert!(fanout >= 1, "fanout must be at least 1");
-    let deadline = grid.deadline;
-    if deadline <= 0.0 {
-        return WaitDecision {
-            wait: 0.0,
-            quality: 0.0,
-        };
-    }
-    let steps = grid.steps();
-    with_scratch(|scratch| {
-        fill_grid(&mut scratch.ts, deadline, grid.epsilon, steps);
-        scratch.fs.resize(steps, 0.0);
-        lower.cdf_batch(&scratch.ts, &mut scratch.fs);
-        accumulate_scan(
-            lower,
-            fanout,
-            &scratch.ts,
-            &scratch.fs,
-            grid.q0,
-            &grid.values,
-        )
-    })
+    with_scratch(|scratch| scan(lower, fanout, grid, &mut scratch.fs, &mut scratch.net))
 }
 
-/// The shared accumulation kernel: given departure candidates `ts`, the
-/// batched lower-stage CDF values `fs`, and the upstream quality values,
-/// walks the grid once accumulating gain − loss with Kahan summation and
-/// keeps the first maximizer.
-fn accumulate_scan(
+/// The scan kernel behind both entry points: the batched lower-stage CDF,
+/// then every step's net quality change in one element-wise pass, then
+/// the sequential accumulation.
+fn scan(
     lower: &dyn ContinuousDist,
     fanout: usize,
-    ts: &[f64],
-    fs: &[f64],
-    q0: f64,
-    qs: &[f64],
+    grid: &QupGrid,
+    fs: &mut Vec<f64>,
+    net: &mut Vec<f64>,
 ) -> WaitDecision {
+    let steps = grid.steps();
+    fs.resize(steps, 0.0);
+    lower.cdf_batch_ln(&grid.ts, &grid.ln_ts, fs);
+    net.resize(steps, 0.0);
+    net_quality(lower.cdf(0.0), fanout, fs, grid.q0, &grid.values, net);
+    first_maximizer(&grid.ts, net)
+}
+
+/// Lanes per block of the element-wise pass: small enough for stack
+/// buffers, long enough to amortize the exponent-bit loop.
+const CHUNK: usize = 64;
+
+/// Writes each ε-step's net quality change, gain − loss (Eqs. 3–4), into
+/// `net`. Step `i` extends the wait from `t_i` to `t_{i+1}`; `f0 = F(0)`
+/// and `q0 = q_up(D)` are the values before the first step.
+///
+/// No state carries from one step to the next, so the compiler can
+/// vectorize the pass, and every entry has exactly the bits of
+/// `quality_gain − quality_loss`:
+/// the same operations in the same order, with `F^k` from [`powi_lanes`].
+fn net_quality(f0: f64, fanout: usize, fs: &[f64], q0: f64, qs: &[f64], net: &mut [f64]) {
+    let k = i32::try_from(fanout)
+        .expect("fanout fits in an i32")
+        .unsigned_abs();
+    net[0] = quality_gain(f0, fs[0], qs[0]) - quality_loss(f0, fanout, q0, qs[0]);
+    let (f_prev, f_next) = (&fs[..fs.len() - 1], &fs[1..]);
+    let (q_prev, q_next) = (&qs[..qs.len() - 1], &qs[1..]);
+    let mut f = [0.0; CHUNK];
+    let mut fk = [0.0; CHUNK];
+    for (c, out) in net[1..].chunks_mut(CHUNK).enumerate() {
+        let lanes = c * CHUNK..c * CHUNK + out.len();
+        let (fp, fnx) = (&f_prev[lanes.clone()], &f_next[lanes.clone()]);
+        let (qp, qn) = (&q_prev[lanes.clone()], &q_next[lanes]);
+        let f = &mut f[..out.len()];
+        let fk = &mut fk[..out.len()];
+        for (x, &p) in f.iter_mut().zip(fp) {
+            *x = p.clamp(0.0, 1.0);
+        }
+        powi_lanes(f, k, fk);
+        for l in 0..out.len() {
+            let gain = (fnx[l] - fp[l]).max(0.0) * qn[l].clamp(0.0, 1.0);
+            let loss = (f[l] - fk[l]).max(0.0) * (qp[l] - qn[l]).max(0.0);
+            out[l] = gain - loss;
+        }
+    }
+}
+
+/// `out[l] = base[l].powi(k)` bit for bit, for up to [`CHUNK`] lanes.
+///
+/// `f64::powi` (`__powidf2`) is square-and-multiply from the lowest
+/// exponent bit up: the result starts at 1 and takes `*= base^(2^j)` for
+/// every set bit `j`. Running the bit loop outermost keeps that order per
+/// lane while every inner loop runs across lanes.
+fn powi_lanes(base: &[f64], k: u32, out: &mut [f64]) {
+    let mut square = [0.0; CHUNK];
+    let square = &mut square[..base.len()];
+    square.copy_from_slice(base);
+    out.fill(1.0);
+    let mut bits = k;
+    loop {
+        if bits & 1 != 0 {
+            for (o, &sq) in out.iter_mut().zip(square.iter()) {
+                *o *= sq;
+            }
+        }
+        bits >>= 1;
+        if bits == 0 {
+            break;
+        }
+        for sq in square.iter_mut() {
+            *sq *= *sq;
+        }
+    }
+}
+
+/// The sequential half of the scan: Kahan-accumulates the net quality
+/// changes along the grid and keeps the first maximizer.
+fn first_maximizer(ts: &[f64], net: &[f64]) -> WaitDecision {
     let mut running = KahanSum::new();
     let mut best_q = 0.0f64;
     let mut best_wait = 0.0f64;
-
-    let mut f_prev = lower.cdf(0.0);
-    let mut q_up_prev = q0;
-    for ((&t_next, &f_next), &q_up_next) in ts.iter().zip(fs).zip(qs) {
-        let gain = quality_gain(f_prev, f_next, q_up_next);
-        let loss = quality_loss(f_prev, fanout, q_up_prev, q_up_next);
-        running.add(gain - loss);
-
+    for (&t_next, &change) in ts.iter().zip(net) {
+        running.add(change);
         // Keep the *first* maximizer: on quality plateaus (gain and loss
         // both ~0) a later departure buys nothing but risks model error,
         // so the earliest wait achieving the maximum is the safe argmax.
@@ -281,11 +347,7 @@ fn accumulate_scan(
             best_q = q;
             best_wait = t_next;
         }
-
-        f_prev = f_next;
-        q_up_prev = q_up_next;
     }
-
     WaitDecision {
         wait: best_wait,
         quality: best_q.clamp(0.0, 1.0),
@@ -390,31 +452,6 @@ where
     }
 }
 
-/// Convenience wrapper choosing `epsilon = deadline / DEFAULT_STEPS`.
-pub fn calculate_wait_default<Q>(
-    deadline: f64,
-    lower: &dyn ContinuousDist,
-    fanout: usize,
-    q_up: Q,
-) -> WaitDecision
-where
-    Q: Fn(f64) -> f64,
-{
-    if deadline <= 0.0 {
-        return WaitDecision {
-            wait: 0.0,
-            quality: 0.0,
-        };
-    }
-    calculate_wait(
-        deadline,
-        lower,
-        fanout,
-        q_up,
-        deadline / DEFAULT_STEPS as f64,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,10 +465,13 @@ mod tests {
 
     use cedar_distrib::ContinuousDist;
 
+    /// The scan resolution most tests run at.
+    const STEPS: f64 = 500.0;
+
     #[test]
     fn zero_deadline_waits_zero() {
         let x1 = LogNormal::new(0.0, 1.0).unwrap();
-        let d = calculate_wait_default(0.0, &x1, 50, |_| 1.0);
+        let d = calculate_wait(0.0, &x1, 50, |_| 1.0, 1.0);
         assert_eq!(d.wait, 0.0);
         assert_eq!(d.quality, 0.0);
     }
@@ -442,7 +482,7 @@ mod tests {
         // p99: nearly all outputs should be deliverable.
         let x1 = LogNormal::new(2.77, 0.84).unwrap();
         let x2 = LogNormal::new(2.94, 0.55).unwrap();
-        let d = calculate_wait_default(3000.0, &x1, 50, two_level_qup(&x2));
+        let d = calculate_wait(3000.0, &x1, 50, two_level_qup(&x2), 3000.0 / STEPS);
         assert!(d.quality > 0.95, "quality {}", d.quality);
         // The wait leaves room for the upper stage.
         assert!(d.wait < 3000.0);
@@ -453,8 +493,8 @@ mod tests {
     fn tight_deadline_waits_less_and_quality_drops() {
         let x1 = LogNormal::new(2.77, 0.84).unwrap();
         let x2 = LogNormal::new(2.94, 0.55).unwrap();
-        let tight = calculate_wait_default(60.0, &x1, 50, two_level_qup(&x2));
-        let loose = calculate_wait_default(1000.0, &x1, 50, two_level_qup(&x2));
+        let tight = calculate_wait(60.0, &x1, 50, two_level_qup(&x2), 60.0 / STEPS);
+        let loose = calculate_wait(1000.0, &x1, 50, two_level_qup(&x2), 1000.0 / STEPS);
         assert!(tight.wait < loose.wait);
         assert!(tight.quality < loose.quality);
     }
@@ -522,7 +562,7 @@ mod tests {
     fn gaussian_stages_work() {
         let x1 = Normal::new(40.0, 80.0).unwrap();
         let x2 = Normal::new(40.0, 10.0).unwrap();
-        let d = calculate_wait_default(200.0, &x1, 50, two_level_qup(&x2));
+        let d = calculate_wait(200.0, &x1, 50, two_level_qup(&x2), 200.0 / STEPS);
         assert!(d.quality > 0.5);
         assert!(d.wait > 0.0 && d.wait < 200.0);
     }
@@ -591,10 +631,10 @@ mod tests {
         let x1 = LogNormal::new(2.77, 0.84).unwrap();
         let x2 = LogNormal::new(2.94, 0.55).unwrap();
         for &deadline in &[40.0, 100.0, 750.0] {
-            let eps = deadline / DEFAULT_STEPS as f64;
+            let eps = deadline / STEPS;
             let q_up = two_level_qup(&x2);
             let grid = QupGrid::build(deadline, eps, &q_up);
-            assert_eq!(grid.steps(), DEFAULT_STEPS);
+            assert_eq!(grid.steps(), 500);
             assert_eq!(grid.deadline(), deadline);
             assert_eq!(grid.epsilon(), eps);
             let via_closure = calculate_wait(deadline, &x1, 50, &q_up, eps);
@@ -609,7 +649,7 @@ mod tests {
         // The per-arrival pattern: one grid, many lower-stage refits.
         let x2 = LogNormal::new(2.94, 0.55).unwrap();
         let deadline = 200.0;
-        let eps = deadline / DEFAULT_STEPS as f64;
+        let eps = deadline / STEPS;
         let grid = QupGrid::build(deadline, eps, two_level_qup(&x2));
         for &(mu, sigma) in &[(2.5, 0.9), (2.77, 0.84), (3.0, 0.7)] {
             let lower = LogNormal::new(mu, sigma).unwrap();
@@ -629,7 +669,7 @@ mod tests {
         let x1 = LogNormal::new(2.77, 0.84).unwrap();
         let x2 = LogNormal::new(2.94, 0.55).unwrap();
         let deadline = 200.0;
-        let eps = deadline / DEFAULT_STEPS as f64;
+        let eps = deadline / STEPS;
         let q_up = two_level_qup(&x2);
         let grid = QupGrid::build(deadline, eps, &q_up);
         let dec = calculate_wait_with_grid(&x1, 50, &grid);
@@ -686,7 +726,7 @@ mod tests {
         // until the upstream window closes; quality stays well-defined.
         let x1 = LogNormal::new(1.0, 0.6).unwrap();
         let x2 = LogNormal::new(1.0, 0.4).unwrap();
-        let dec = calculate_wait_default(30.0, &x1, 1, two_level_qup(&x2));
+        let dec = calculate_wait(30.0, &x1, 1, two_level_qup(&x2), 30.0 / STEPS);
         assert!((0.0..=1.0).contains(&dec.quality));
         assert!(dec.wait > 0.0 && dec.wait <= 30.0);
     }
@@ -714,5 +754,180 @@ mod tests {
         let dec = calculate_wait(0.5, &x1, 5, two_level_qup(&x2), 2.0);
         assert!(dec.wait <= 0.5 + 1e-12);
         assert!((0.0..=1.0).contains(&dec.quality));
+    }
+
+    /// The accumulation as it was before the element-wise pass: one
+    /// sequential walk computing gain and loss, with a `powi` per step,
+    /// inside the Kahan loop. The reference the kernel must reproduce bit
+    /// for bit.
+    fn accumulate_scan(
+        lower: &dyn ContinuousDist,
+        fanout: usize,
+        ts: &[f64],
+        fs: &[f64],
+        q0: f64,
+        qs: &[f64],
+    ) -> WaitDecision {
+        let mut running = KahanSum::new();
+        let mut best_q = 0.0f64;
+        let mut best_wait = 0.0f64;
+        let mut f_prev = lower.cdf(0.0);
+        let mut q_up_prev = q0;
+        for ((&t_next, &f_next), &q_up_next) in ts.iter().zip(fs).zip(qs) {
+            let gain = quality_gain(f_prev, f_next, q_up_next);
+            let loss = quality_loss(f_prev, fanout, q_up_prev, q_up_next);
+            running.add(gain - loss);
+            let q = running.value();
+            if q > best_q {
+                best_q = q;
+                best_wait = t_next;
+            }
+            f_prev = f_next;
+            q_up_prev = q_up_next;
+        }
+        WaitDecision {
+            wait: best_wait,
+            quality: best_q.clamp(0.0, 1.0),
+        }
+    }
+
+    /// The grid path as it was: the grid's times through `cdf_batch`,
+    /// then [`accumulate_scan`].
+    fn grid_scan_reference(
+        lower: &dyn ContinuousDist,
+        fanout: usize,
+        grid: &QupGrid,
+    ) -> WaitDecision {
+        let mut fs = vec![0.0; grid.steps()];
+        lower.cdf_batch(&grid.ts, &mut fs);
+        accumulate_scan(lower, fanout, &grid.ts, &fs, grid.q0, &grid.values)
+    }
+
+    fn assert_same_bits(got: WaitDecision, want: WaitDecision, case: &str) {
+        assert_eq!(got.wait.to_bits(), want.wait.to_bits(), "wait, {case}");
+        assert_eq!(
+            got.quality.to_bits(),
+            want.quality.to_bits(),
+            "quality, {case}"
+        );
+    }
+
+    #[test]
+    fn powi_lanes_is_bit_identical_to_powi() {
+        let mut fs: Vec<f64> = (0..=100_000).map(|i| f64::from(i) / 100_000.0).collect();
+        fs.extend_from_slice(&[
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e-200,
+            f64::from_bits(1.0f64.to_bits() - 1),
+            0.999_999_9,
+        ]);
+        let mut out = [0.0; CHUNK];
+        for k in [1u32, 2, 3, 7, 8, 50, 63, 64, 500] {
+            for chunk in fs.chunks(CHUNK) {
+                let out = &mut out[..chunk.len()];
+                powi_lanes(chunk, k, out);
+                for (&f, &got) in chunk.iter().zip(out.iter()) {
+                    let want = f.powi(k as i32);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{f}^{k}: {got} vs {want}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_old_accumulate_on_seeded_gauntlet() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let ks = [1usize, 2, 3, 7, 8, 50, 63, 64, 500];
+        let mut cases = 0;
+        for family in 0..5 {
+            for deadline in [5.0f64, 60.0, 300.0, 3000.0] {
+                for steps in [100.0, 300.0, 500.0] {
+                    for _ in 0..4 {
+                        let scale = deadline / 4.0;
+                        let lower: Box<dyn ContinuousDist> = match family {
+                            0 => Box::new(
+                                LogNormal::new(
+                                    scale.ln() + rng.gen_range(-2.0..1.0),
+                                    rng.gen_range(0.1..2.0),
+                                )
+                                .unwrap(),
+                            ),
+                            1 => Box::new(
+                                Normal::new(
+                                    scale * rng.gen_range(0.2..2.0),
+                                    scale * rng.gen_range(0.05..1.5),
+                                )
+                                .unwrap(),
+                            ),
+                            2 => Box::new(
+                                Exponential::from_mean(scale * rng.gen_range(0.1..3.0)).unwrap(),
+                            ),
+                            3 => Box::new(
+                                cedar_distrib::Pareto::new(
+                                    scale * rng.gen_range(0.05..0.5),
+                                    rng.gen_range(0.7..3.0),
+                                )
+                                .unwrap(),
+                            ),
+                            _ => Box::new(
+                                cedar_distrib::Mixture::new(vec![
+                                    (
+                                        0.9,
+                                        Box::new(
+                                            LogNormal::new(scale.ln(), rng.gen_range(0.2..1.0))
+                                                .unwrap(),
+                                        )
+                                            as Box<dyn ContinuousDist>,
+                                    ),
+                                    (
+                                        0.1,
+                                        Box::new(cedar_distrib::Pareto::new(scale, 1.5).unwrap()),
+                                    ),
+                                ])
+                                .unwrap(),
+                            ),
+                        };
+                        let upper = LogNormal::new(
+                            scale.ln() + rng.gen_range(-1.5..0.5),
+                            rng.gen_range(0.2..1.2),
+                        )
+                        .unwrap();
+                        let k = ks[rng.gen_range(0..ks.len())];
+                        let eps = deadline / steps;
+                        let q_up = two_level_qup(&upper);
+                        let grid = QupGrid::build(deadline, eps, &q_up);
+                        let case = format!("{lower:?} k={k} D={deadline} steps={steps}");
+                        let want = grid_scan_reference(&lower, k, &grid);
+                        assert_same_bits(calculate_wait_with_grid(&lower, k, &grid), want, &case);
+                        assert_same_bits(
+                            calculate_wait(deadline, &lower, k, &q_up, eps),
+                            want,
+                            &case,
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 240);
+
+        // The per-arrival shape: one FB-like grid, many log-normal
+        // estimates of the lower stage.
+        let grid = QupGrid::build(
+            1000.0,
+            1000.0 / 300.0,
+            two_level_qup(&LogNormal::new(2.94, 0.55).unwrap()),
+        );
+        for _ in 0..2000 {
+            let lower = LogNormal::new(rng.gen_range(1.5..4.5), rng.gen_range(0.2..1.6)).unwrap();
+            let want = grid_scan_reference(&lower, 50, &grid);
+            assert_same_bits(
+                calculate_wait_with_grid(&lower, 50, &grid),
+                want,
+                &format!("{lower:?}"),
+            );
+        }
     }
 }

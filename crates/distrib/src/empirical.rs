@@ -103,7 +103,11 @@ impl ContinuousDist for Empirical {
     }
 
     fn cdf(&self, x: f64) -> f64 {
-        let _n = self.sorted.len();
+        if x.is_nan() {
+            // NaN compares false with every sample, so the
+            // interpolation below would index before the first one.
+            return f64::NAN;
+        }
         if x < self.min() {
             return 0.0;
         }

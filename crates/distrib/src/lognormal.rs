@@ -83,6 +83,30 @@ impl LogNormal {
     pub fn with_mu(&self, mu: f64) -> Result<Self, DistError> {
         Self::new(mu, self.sigma)
     }
+
+    /// The batched CDF over `ts`, with `lns` yielding `ln t` for each
+    /// point in order.
+    fn cdf_batch_lns(&self, ts: &[f64], mut lns: impl Iterator<Item = f64>, out: &mut [f64]) {
+        let mu = self.mu;
+        let inv_sigma = 1.0 / self.sigma;
+        const CHUNK: usize = 64;
+        let mut z = [0.0_f64; CHUNK];
+        for (ts_chunk, out_chunk) in ts.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
+            let zs = &mut z[..ts_chunk.len()];
+            for ((slot, &t), ln_t) in zs.iter_mut().zip(ts_chunk).zip(&mut lns) {
+                // Out-of-support points map to -inf, which the CDF
+                // kernel takes to exactly +0.0 — the same value the
+                // scalar guard returns — so one lane path serves the
+                // whole chunk. NaN stays NaN through `ln`.
+                *slot = if t <= 0.0 {
+                    f64::NEG_INFINITY
+                } else {
+                    (ln_t - mu) * inv_sigma
+                };
+            }
+            cedar_mathx::simd::norm_cdf_fast_slice(zs, out_chunk);
+        }
+    }
 }
 
 impl ContinuousDist for LogNormal {
@@ -103,25 +127,13 @@ impl ContinuousDist for LogNormal {
 
     fn cdf_batch(&self, ts: &[f64], out: &mut [f64]) {
         assert_eq!(ts.len(), out.len(), "cdf_batch slice length mismatch");
-        let mu = self.mu;
-        let inv_sigma = 1.0 / self.sigma;
-        const CHUNK: usize = 64;
-        let mut z = [0.0_f64; CHUNK];
-        for (ts_chunk, out_chunk) in ts.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            let zs = &mut z[..ts_chunk.len()];
-            for (slot, &t) in zs.iter_mut().zip(ts_chunk) {
-                // Out-of-support points map to -inf, which the CDF
-                // kernel takes to exactly +0.0 — the same value the
-                // scalar guard returns — so one lane path serves the
-                // whole chunk. NaN stays NaN through `ln`.
-                *slot = if t <= 0.0 {
-                    f64::NEG_INFINITY
-                } else {
-                    (t.ln() - mu) * inv_sigma
-                };
-            }
-            cedar_mathx::simd::norm_cdf_fast_slice(zs, out_chunk);
-        }
+        self.cdf_batch_lns(ts, ts.iter().map(|t| t.ln()), out);
+    }
+
+    fn cdf_batch_ln(&self, ts: &[f64], ln_ts: &[f64], out: &mut [f64]) {
+        assert_eq!(ts.len(), out.len(), "cdf_batch_ln slice length mismatch");
+        assert_eq!(ts.len(), ln_ts.len(), "cdf_batch_ln slice length mismatch");
+        self.cdf_batch_lns(ts, ln_ts.iter().copied(), out);
     }
 
     fn quantile(&self, p: f64) -> f64 {

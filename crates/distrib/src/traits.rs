@@ -62,6 +62,22 @@ pub trait ContinuousDist: Send + Sync + core::fmt::Debug {
         }
     }
 
+    /// [`ContinuousDist::cdf_batch`] for a caller that already holds
+    /// `ln_ts[i] = ts[i].ln()` for every point, as the wait scan's
+    /// memoized grid does.
+    ///
+    /// Must return exactly the bits `cdf_batch(ts, out)` returns; the
+    /// default simply calls it. Families whose CDF works in log time
+    /// override it to skip their own `ln` per point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ts`, `ln_ts` and `out` have different lengths.
+    fn cdf_batch_ln(&self, ts: &[f64], ln_ts: &[f64], out: &mut [f64]) {
+        assert_eq!(ts.len(), ln_ts.len(), "cdf_batch_ln slice length mismatch");
+        self.cdf_batch(ts, out);
+    }
+
     /// Quantile function (inverse CDF) for `p in [0, 1]`.
     ///
     /// Implementations return the infimum of the support for `p = 0` and
@@ -119,6 +135,9 @@ impl ContinuousDist for Box<dyn ContinuousDist> {
     fn cdf_batch(&self, ts: &[f64], out: &mut [f64]) {
         self.as_ref().cdf_batch(ts, out);
     }
+    fn cdf_batch_ln(&self, ts: &[f64], ln_ts: &[f64], out: &mut [f64]) {
+        self.as_ref().cdf_batch_ln(ts, ln_ts, out);
+    }
     fn quantile(&self, p: f64) -> f64 {
         self.as_ref().quantile(p)
     }
@@ -145,6 +164,9 @@ impl<D: ContinuousDist + ?Sized> ContinuousDist for std::sync::Arc<D> {
     }
     fn cdf_batch(&self, ts: &[f64], out: &mut [f64]) {
         self.as_ref().cdf_batch(ts, out);
+    }
+    fn cdf_batch_ln(&self, ts: &[f64], ln_ts: &[f64], out: &mut [f64]) {
+        self.as_ref().cdf_batch_ln(ts, ln_ts, out);
     }
     fn quantile(&self, p: f64) -> f64 {
         self.as_ref().quantile(p)

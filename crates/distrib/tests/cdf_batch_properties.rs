@@ -13,10 +13,11 @@
 //! be exactly the scalar path.
 
 use cedar_distrib::{
-    ContinuousDist, Exponential, Gamma, LogNormal, Mixture, Normal, Pareto, Rectified, Scaled,
-    Shifted, Uniform, Weibull,
+    ContinuousDist, Empirical, Exponential, Gamma, LogNormal, Mixture, Normal, Pareto, Rectified,
+    Scaled, Shifted, Uniform, Weibull,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const TOL: f64 = 1e-12;
 
@@ -73,6 +74,29 @@ fn salt(mut ts: Vec<f64>) -> Vec<f64> {
     front
 }
 
+/// `cdf_batch_ln` with the grid's logs returns exactly the bits of
+/// `cdf_batch`, directly and through the `Box`/`Arc` forwarding impls.
+fn assert_ln_batch_is_bit_identical(dist: Box<dyn ContinuousDist>, ts: &[f64]) {
+    let ln_ts: Vec<f64> = ts.iter().map(|t| t.ln()).collect();
+    let arced = Arc::new(dist);
+    let direct: &dyn ContinuousDist = &**arced;
+    let mut want = vec![0.0; ts.len()];
+    direct.cdf_batch(ts, &mut want);
+    // The family itself, `Box<dyn _>`, and `Arc<Box<dyn _>>`.
+    let views: [&dyn ContinuousDist; 3] = [direct, &*arced, &arced];
+    for view in views {
+        let mut got = vec![f64::NAN; ts.len()];
+        view.cdf_batch_ln(ts, &ln_ts, &mut got);
+        for ((&t, &g), &w) in ts.iter().zip(&got).zip(&want) {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{direct:?}: cdf_batch_ln({t}) = {g:?} but cdf_batch = {w:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -95,6 +119,19 @@ proptest! {
         let d = LogNormal::new(mu, sigma).unwrap();
         // Include non-positive ts to hit the `t <= 0 -> 0` branch.
         assert_batch_matches(&d, &salt(grid(-2.0, (mu + 6.0 * sigma).exp(), n)));
+    }
+
+    #[test]
+    fn lognormal_ln_batch_is_bit_identical(
+        mu in -3.0..8.0f64,
+        sigma in 0.05..3.0f64,
+        n in 1usize..200,
+    ) {
+        let d = LogNormal::new(mu, sigma).unwrap();
+        assert_ln_batch_is_bit_identical(
+            Box::new(d),
+            &salt(grid(-2.0, (mu + 6.0 * sigma).exp(), n)),
+        );
     }
 
     #[test]
@@ -223,5 +260,37 @@ fn non_finite_inputs_are_honored_slotwise() {
             (out[i] - d.cdf(ts[i])).abs() <= TOL,
             "finite neighbour {i} was disturbed by poisoned lanes"
         );
+    }
+}
+
+/// Every family, overriding `cdf_batch_ln` or not, on a grid that spans
+/// non-positive points and is salted with NaN and both infinities.
+#[test]
+fn cdf_batch_ln_is_bit_identical_for_every_family() {
+    let inner = LogNormal::new(1.2, 0.7).unwrap();
+    let families: Vec<Box<dyn ContinuousDist>> = vec![
+        Box::new(inner),
+        Box::new(LogNormal::new(2.77, 0.84).unwrap()),
+        Box::new(Normal::new(3.0, 2.5).unwrap()),
+        Box::new(Exponential::new(0.4).unwrap()),
+        Box::new(Uniform::new(-1.0, 9.0).unwrap()),
+        Box::new(Gamma::new(2.5, 1.5).unwrap()),
+        Box::new(Weibull::new(1.7, 4.0).unwrap()),
+        Box::new(Pareto::new(1.0, 2.2).unwrap()),
+        Box::new(Empirical::from_samples(vec![0.5, 1.5, 2.0, 4.0, 7.5, 11.0]).unwrap()),
+        Box::new(
+            Mixture::new(vec![
+                (0.7, Box::new(inner) as Box<dyn ContinuousDist>),
+                (0.3, Box::new(Normal::new(6.0, 1.0).unwrap())),
+            ])
+            .unwrap(),
+        ),
+        Box::new(Scaled::new(inner, 3.0).unwrap()),
+        Box::new(Shifted::new(inner, -2.0).unwrap()),
+        Box::new(Rectified::new(Normal::new(1.0, 2.0).unwrap())),
+    ];
+    let ts = salt(grid(-3.0, 40.0, 301));
+    for dist in families {
+        assert_ln_batch_is_bit_identical(dist, &ts);
     }
 }

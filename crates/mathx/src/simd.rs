@@ -119,15 +119,15 @@ fn erf_small_lanes(x: &Block) -> Block {
 
 /// Lane form of the split-argument `exp(-y^2)` from `erfc_tail`.
 ///
-/// The two `exp` calls stay scalar per lane (libm has no vector entry
-/// point), but the splitting arithmetic around them vectorizes.
+/// The head factor is a table read and the correction's `exp` stays
+/// scalar per lane (libm has no vector entry point); the splitting
+/// arithmetic around them vectorizes.
 #[inline]
 fn split_exp_lanes(y: &Block) -> Block {
+    let heads = special::exp_heads();
     let mut expv = [0.0; LANES];
     for l in 0..LANES {
-        let ysq = (y[l] * 16.0).trunc() / 16.0;
-        let del = (y[l] - ysq) * (y[l] + ysq);
-        expv[l] = (-ysq * ysq).exp() * (-del).exp();
+        expv[l] = special::split_exp(y[l], heads);
     }
     expv
 }

@@ -147,6 +147,37 @@ fn erf_small(x: f64) -> f64 {
 /// trick below would otherwise produce `inf - inf = NaN`.
 pub(crate) const ERFC_XBIG: f64 = 26.543;
 
+/// Number of split-argument heads below [`ERFC_XBIG`]: `trunc(16 y)`
+/// ranges over `0..=424` there (`16 * 26.543 < 425`).
+pub(crate) const EXP_HEADS: usize = 425;
+const _: () = assert!(ERFC_XBIG * 16.0 < EXP_HEADS as f64);
+
+/// `exp(-ysq^2)` for every head `ysq = i / 16` the split-argument
+/// evaluation can take, built once with the very expression it replaces
+/// (`i / 16` is exactly `trunc(16 y) / 16`), so a lookup returns the same
+/// bits as the libm call. Lane kernels look it up once per block.
+pub(crate) fn exp_heads() -> &'static [f64; EXP_HEADS] {
+    static TABLE: std::sync::OnceLock<[f64; EXP_HEADS]> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| {
+        core::array::from_fn(|i| {
+            let ysq = i as f64 / 16.0;
+            (-ysq * ysq).exp()
+        })
+    })
+}
+
+/// The split-argument `exp(-y^2)` from CALERF, for `0 <= y < ERFC_XBIG`:
+/// `exp(-y^2)` loses relative precision when `y*y` rounds, so `y^2` is
+/// split into an exactly-representable head (a multiple of 1/16, whose
+/// `exp` comes from `heads`) plus a correction.
+#[inline]
+pub(crate) fn split_exp(y: f64, heads: &[f64; EXP_HEADS]) -> f64 {
+    let head = (y * 16.0) as usize;
+    let ysq = head as f64 / 16.0;
+    let del = (y - ysq) * (y + ysq);
+    heads[head] * (-del).exp()
+}
+
 /// `erfc(y)` for `y > 0.46875`, with the split-argument `exp(-y^2)`
 /// evaluation from CALERF that preserves relative accuracy in the tail.
 #[inline]
@@ -154,11 +185,7 @@ fn erfc_tail(y: f64) -> f64 {
     if y >= ERFC_XBIG {
         return 0.0;
     }
-    // exp(-y^2) loses relative precision when y*y rounds; split y^2 into
-    // an exactly-representable head (multiple of 1/16) plus a correction.
-    let ysq = (y * 16.0).trunc() / 16.0;
-    let del = (y - ysq) * (y + ysq);
-    let expv = (-ysq * ysq).exp() * (-del).exp();
+    let expv = split_exp(y, exp_heads());
     if y <= 4.0 {
         let mut num = ERF_C[8] * y;
         let mut den = y;
@@ -599,6 +626,105 @@ mod tests {
             assert_close(erfc_fast(-x), 2.0 - erfc_fast(x), 1e-14);
         }
         assert!(erfc_fast(f64::NAN).is_nan());
+    }
+
+    /// `erfc_fast` as it was before the head table: both factors of the
+    /// split-argument `exp(-y^2)` through libm. The reference the table
+    /// must reproduce bit for bit.
+    fn erfc_fast_two_exp(x: f64) -> f64 {
+        if x.is_nan() {
+            return f64::NAN;
+        }
+        let y = x.abs();
+        let r = if y <= ERF_THRESHOLD {
+            1.0 - erf_small(y)
+        } else if y >= ERFC_XBIG {
+            0.0
+        } else {
+            let ysq = (y * 16.0).trunc() / 16.0;
+            let del = (y - ysq) * (y + ysq);
+            let expv = (-ysq * ysq).exp() * (-del).exp();
+            if y <= 4.0 {
+                let mut num = ERF_C[8] * y;
+                let mut den = y;
+                for i in 0..7 {
+                    num = (num + ERF_C[i]) * y;
+                    den = (den + ERF_D[i]) * y;
+                }
+                expv * (num + ERF_C[7]) / (den + ERF_D[7])
+            } else {
+                let z = 1.0 / (y * y);
+                let mut num = ERF_P[5] * z;
+                let mut den = z;
+                for i in 0..4 {
+                    num = (num + ERF_P[i]) * z;
+                    den = (den + ERF_Q[i]) * z;
+                }
+                let r = z * (num + ERF_P[4]) / (den + ERF_Q[4]);
+                expv * (FRAC_1_SQRT_PI - r) / y
+            }
+        };
+        if x >= 0.0 {
+            r
+        } else {
+            2.0 - r
+        }
+    }
+
+    #[test]
+    fn exp_head_table_is_bit_identical_to_two_exp_formula() {
+        // A dense sweep through all four Cody regions (small, mid, far,
+        // underflow), both signs, every head boundary k/16 and its
+        // neighbours, the region edges and the special values.
+        let mut xs = Vec::new();
+        let mut x = -28.0;
+        while x <= 28.0 {
+            xs.push(x);
+            x += 0.00137;
+        }
+        let boundaries =
+            (1..=EXP_HEADS)
+                .map(|k| k as f64 / 16.0)
+                .chain([ERF_THRESHOLD, 4.0, ERFC_XBIG]);
+        for b in boundaries {
+            let (up, down) = (
+                f64::from_bits(b.to_bits() + 1),
+                f64::from_bits(b.to_bits() - 1),
+            );
+            xs.extend_from_slice(&[b, -b, up, -up, down, -down]);
+        }
+        xs.extend_from_slice(&[
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ]);
+        for &x in &xs {
+            let want = erfc_fast_two_exp(x);
+            assert_eq!(erfc_fast(x).to_bits(), want.to_bits(), "erfc_fast({x})");
+            let want_erf = if x.is_nan() {
+                f64::NAN
+            } else if x.abs() <= ERF_THRESHOLD {
+                erf_small(x)
+            } else {
+                let r = 1.0 - erfc_fast_two_exp(x.abs());
+                if x >= 0.0 {
+                    r
+                } else {
+                    -r
+                }
+            };
+            assert_eq!(erf_fast(x).to_bits(), want_erf.to_bits(), "erf_fast({x})");
+            let z = -x * core::f64::consts::SQRT_2;
+            let want_cdf = 0.5 * erfc_fast_two_exp(-z * FRAC_1_SQRT_2);
+            assert_eq!(
+                norm_cdf_fast(z).to_bits(),
+                want_cdf.to_bits(),
+                "norm_cdf_fast({z})"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use cedar_telemetry::{Histogram, HistogramSnapshot, QueryTrace, ShipReason, TraceEventKind};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -153,14 +153,23 @@ proptest! {
 fn snapshot_under_concurrent_record_is_torn_free() {
     let hist = Arc::new(Histogram::new());
     let stop = Arc::new(AtomicBool::new(false));
+    // Snapshots the reader has finished; writers hold their second half
+    // back until there is one, so a snapshot always overlaps recording.
+    let snapshots = Arc::new(AtomicU64::new(0));
     const WRITERS: usize = 4;
     const PER_WRITER: u64 = 20_000;
 
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
             let hist = Arc::clone(&hist);
+            let snapshots = Arc::clone(&snapshots);
             thread::spawn(move || {
                 for i in 0..PER_WRITER {
+                    if i == PER_WRITER / 2 {
+                        while snapshots.load(Ordering::Acquire) == 0 {
+                            thread::yield_now();
+                        }
+                    }
                     // Spread across buckets; all values are exactly
                     // representable so the final sum check is exact-ish.
                     hist.record(((w as u64 * PER_WRITER + i) % 1024 + 1) as f64);
@@ -172,11 +181,16 @@ fn snapshot_under_concurrent_record_is_torn_free() {
     let reader = {
         let hist = Arc::clone(&hist);
         let stop = Arc::clone(&stop);
+        let snapshots = Arc::clone(&snapshots);
         thread::spawn(move || {
             let mut last_count = 0u64;
             let mut snaps = 0u64;
             while !stop.load(Ordering::Acquire) {
                 let snap = hist.snapshot();
+                // Counted before the checks, so a failing check cannot
+                // leave the writers waiting.
+                snaps += 1;
+                snapshots.store(snaps, Ordering::Release);
                 let bucket_total: u64 = snap.buckets.iter().sum();
                 assert_eq!(snap.count, bucket_total, "torn snapshot");
                 assert!(snap.count >= last_count, "count went backwards");
@@ -185,7 +199,6 @@ fn snapshot_under_concurrent_record_is_torn_free() {
                     assert!(snap.sum > 0.0);
                 }
                 last_count = snap.count;
-                snaps += 1;
             }
             snaps
         })
